@@ -16,7 +16,8 @@ Detectors scan distance patterns and do not require Helly input themselves:
 a returned witness is always sound (its copy is re-verified isometric), but
 absence certifies anything only when the input is Helly.  The aggregate
 classifiers (hb_by_obstructions, hb_by_thinness, half_hyperbolic_equivalents,
-power_characterization) reject non-Helly input unless told to assume it.
+power_characterization) read one ``Analysis`` context per graph, which
+computes each shared quantity once, and reject non-Helly input.
 
 Witness corners are the quadruple the scan fired on; the materialized copy
 (always computed) lives in the witness alongside its cell layout.
@@ -24,6 +25,7 @@ Witness corners are the quadruple the scan fired on; the materialized copy
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +39,19 @@ from .families import (
 )
 from .graphs import Graph
 from .halfint import HalfInt
-from .helly import DiskConstraint, find_median, is_helly, pick_common_vertex
-from .hyperbolicity import hyperbolicity, interval_thinness
+from .helly import (
+    DiskConstraint,
+    HellyCheck,
+    find_median,
+    is_helly,
+    pick_common_vertex,
+)
+from .hyperbolicity import (
+    HyperbolicityWitness,
+    ThinnessWitness,
+    hyperbolicity,
+    interval_thinness,
+)
 
 
 class NotHellyError(Exception):
@@ -75,13 +88,6 @@ class ObstructionWitness:
     materialized: tuple[int, ...]
     cells: tuple[Cell, ...]
     placement: tuple[int, ...]
-
-
-def _require_helly(g: Graph, dm: DistanceMatrix, assume_helly: bool) -> None:
-    if not assume_helly and not is_helly(g, dm=dm):
-        raise NotHellyError(
-            "input graph is not Helly; this operation is only valid on Helly graphs"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +285,40 @@ def _fits_window(
 # Pattern scans
 # ---------------------------------------------------------------------------
 
+def _scan_quadruples(
+    dm: DistanceMatrix,
+    outer: tuple[int, int],
+    side: tuple[int, int],
+    inner: tuple[int, int],
+) -> tuple[int, int, int, int] | None:
+    """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four sides
+    in ``side`` and d(y,t) in ``inner``; each range is an inclusive (lo, hi).
+
+    Scans x ascending, then z > x ascending, then takes the first hit of the
+    upper triangle over the vertices whose distances to x and z both lie in
+    ``side``, so y < t.
+    """
+    if outer[0] > dm.diam:
+        return None
+    dist = dm.dist
+
+    def within(rng: tuple[int, int]) -> np.ndarray:
+        return (dist >= rng[0]) & (dist <= rng[1])
+
+    outer_ok, side_ok, inner_ok = within(outer), within(side), within(inner)
+    for x in range(dm.n):
+        zs = np.nonzero(outer_ok[x, x + 1 :])[0] + (x + 1)
+        for z in zs.tolist():
+            ids = np.nonzero(side_ok[x] & side_ok[z])[0]
+            if ids.size < 2:
+                continue
+            hits = np.argwhere(np.triu(inner_ok[np.ix_(ids, ids)], k=1))
+            if hits.size:
+                r, c = int(hits[0][0]), int(hits[0][1])
+                return x, int(ids[r]), z, int(ids[c])
+    return None
+
+
 def detect_H1(
     g: Graph, k: int, *, dm: DistanceMatrix | None = None
 ) -> ObstructionWitness | None:
@@ -295,25 +335,8 @@ def detect_H1(
 
 def _scan_h1_pattern(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
     """First quadruple (x,y,z,t) with sides k+1 and diagonals 2k+2."""
-    dist = dm.dist
-    n = dm.n
-    side, diag = k + 1, 2 * k + 2
-    if diag > dm.diam:
-        return None
-    for x in range(n):
-        dx = dist[x]
-        zs = np.nonzero(dx == diag)[0]
-        zs = zs[zs > x]
-        for z in zs.tolist():
-            ids = np.nonzero((dx == side) & (dist[z] == side))[0]
-            if ids.size < 2:
-                continue
-            sub = dist[np.ix_(ids, ids)]
-            hits = np.argwhere(np.triu(sub == diag, k=1))
-            if hits.size:
-                r, c = int(hits[0][0]), int(hits[0][1])
-                return x, int(ids[r]), z, int(ids[c])
-    return None
+    diag = 2 * k + 2
+    return _scan_quadruples(dm, (diag, diag), (k + 1, k + 1), (diag, diag))
 
 
 def detect_H2(
@@ -329,33 +352,15 @@ def detect_H2(
     if k < 0:
         raise ValueError("probe parameter must be >= 0")
     dm = dm or apsp(g)
-    dist = dm.dist
-    n = dm.n
-    side, diag = k + 1, 2 * k + 2
-    if diag > dm.diam:
+    diag = 2 * k + 2
+    quad = _scan_quadruples(dm, (diag, diag), (k + 1, k + 1), (diag - 1, diag))
+    if quad is None:
         return None
-    for x in range(n):
-        dx = dist[x]
-        zs = np.nonzero(dx == diag)[0]
-        zs = zs[zs > x]
-        for z in zs.tolist():
-            ids = np.nonzero((dx == side) & (dist[z] == side))[0]
-            if ids.size < 2:
-                continue
-            sub = dist[np.ix_(ids, ids)]
-            good = np.triu((sub == diag - 1) | (sub == diag), k=1)
-            hits = np.argwhere(good)
-            if not hits.size:
-                continue
-            r, c = int(hits[0][0]), int(hits[0][1])
-            y, t = int(ids[r]), int(ids[c])
-            quad = (x, y, z, t)
-            if dist[y][t] == diag - 1:
-                placement = _anchored_placement(g, dm, "H2", k, k, quad)
-                return _make_witness("H2", k, k, placement, quad)
-            placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
-            return _make_witness("H2", k, k, placement, quad, shift=(1, 1))
-    return None
+    if dm.d(quad[1], quad[3]) == diag - 1:
+        placement = _anchored_placement(g, dm, "H2", k, k, quad)
+        return _make_witness("H2", k, k, placement, quad)
+    placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
+    return _make_witness("H2", k, k, placement, quad, shift=(1, 1))
 
 
 def detect_H1_or_H3(
@@ -374,28 +379,11 @@ def detect_H1_or_H3(
     if found is not None:
         placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, found)
         return _make_witness("H1", k + 1, k + 1, placement, found)
-
-    dist = dm.dist
-    n = dm.n
     lo = 2 * k + 3
-    if lo > dm.diam:
+    quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
+    if quad is None:
         return None
-    for x in range(n):
-        dx = dist[x]
-        zs = np.nonzero((dx == lo) | (dx == lo + 1))[0]
-        zs = zs[zs > x]
-        for z in zs.tolist():
-            ids = np.nonzero((dx <= k + 2) & (dist[z] <= k + 2))[0]
-            if ids.size < 2:
-                continue
-            sub = dist[np.ix_(ids, ids)]
-            hits = np.argwhere(np.triu(sub >= lo, k=1))
-            if not hits.size:
-                continue
-            r, c = int(hits[0][0]), int(hits[0][1])
-            quad = (x, int(ids[r]), z, int(ids[c]))
-            return resolve_window_quadruple(g, k, quad, dm=dm)
-    return None
+    return resolve_window_quadruple(g, k, quad, dm=dm)
 
 
 def _rotate(q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
@@ -512,14 +500,63 @@ def resolve_window_quadruple(
 
 
 # ---------------------------------------------------------------------------
+# One analysis context per graph
+# ---------------------------------------------------------------------------
+
+class Analysis:
+    """One graph, its distance matrix, and the quantities the routes share.
+
+    Helly recognition, the hyperbolicity scan, interval thinness and each
+    obstruction probe are computed on first use and kept, so every route
+    that reads one of them shares a single computation.  ``threads`` is the
+    worker count of the hyperbolicity scan.
+    """
+
+    def __init__(self, g: Graph, *, threads: int) -> None:
+        self.g = g
+        self.threads = threads
+        self.dm = apsp(g)
+        self._probes: dict[int, ObstructionWitness | None] = {}
+
+    @cached_property
+    def helly(self) -> HellyCheck:
+        return is_helly(self.g, dm=self.dm)
+
+    @cached_property
+    def hyperbolicity(self) -> tuple[HalfInt, HyperbolicityWitness]:
+        return hyperbolicity(self.g, dm=self.dm, threads=self.threads)
+
+    @cached_property
+    def thinness(self) -> tuple[int, ThinnessWitness]:
+        return interval_thinness(self.g, dm=self.dm)
+
+    def probe(self, td: int) -> ObstructionWitness | None:
+        """Obstruction probe at threshold td/2; on Helly input it fires iff h > td/2.
+
+        Even td runs detect_H2(td/2), odd td runs detect_H1_or_H3((td-1)/2).
+        """
+        if td not in self._probes:
+            if td % 2 == 0:
+                self._probes[td] = detect_H2(self.g, td // 2, dm=self.dm)
+            else:
+                self._probes[td] = detect_H1_or_H3(self.g, td // 2, dm=self.dm)
+        return self._probes[td]
+
+
+def _require_helly(a: Analysis) -> None:
+    if not a.helly:
+        raise NotHellyError(
+            "input graph is not Helly; this operation is only valid on Helly graphs"
+        )
+
+
+# ---------------------------------------------------------------------------
 # Derived hyperbolicity routes
 # ---------------------------------------------------------------------------
 
 def hb_by_obstructions(
-    g: Graph,
+    a: Analysis,
     *,
-    dm: DistanceMatrix | None = None,
-    assume_helly: bool = False,
     probes_out: list[tuple[HalfInt, ObstructionWitness | None]] | None = None,
 ) -> HalfInt:
     """Hyperbolicity via descending obstruction probes (Helly input).
@@ -529,15 +566,12 @@ def hb_by_obstructions(
     detect_H1_or_H3(k).  The first firing probe gives h = t + 1/2; if no
     probe fires the graph is 0-hyperbolic.
     """
-    dm = dm or apsp(g)
-    _require_helly(g, dm, assume_helly)
+    _require_helly(a)
+    dm = a.dm
     top = dm.diam if dm.diam % 2 == 0 else dm.diam + 1
     for td in range(top, -1, -1):
         thr = HalfInt(td)
-        if td % 2 == 0:
-            w = detect_H2(g, td // 2, dm=dm)
-        else:
-            w = detect_H1_or_H3(g, (td - 1) // 2, dm=dm)
+        w = a.probe(td)
         if probes_out is not None:
             probes_out.append((thr, w))
         if w is not None:
@@ -550,23 +584,17 @@ def hb_by_obstructions(
     return HalfInt(0)
 
 
-def hb_by_thinness(
-    g: Graph,
-    *,
-    dm: DistanceMatrix | None = None,
-    assume_helly: bool = False,
-) -> HalfInt:
+def hb_by_thinness(a: Analysis) -> HalfInt:
     """Hyperbolicity from interval thinness tau (Helly input).
 
     Even tau: h = tau/2 outright.  Odd tau: h = (tau+1)/2 exactly when the
     wide-diagonal probe at k = (tau-1)/2 fires, else h = tau/2.
     """
-    dm = dm or apsp(g)
-    _require_helly(g, dm, assume_helly)
-    tau, _ = interval_thinness(g, dm=dm)
+    _require_helly(a)
+    tau, _ = a.thinness
     if tau % 2 == 0:
         return HalfInt.from_int(tau // 2)
-    if detect_H1_or_H3(g, tau // 2, dm=dm) is not None:
+    if a.probe(tau) is not None:
         return HalfInt(tau + 1)
     return HalfInt(tau)
 
@@ -599,30 +627,10 @@ def _has_sun_tip_pattern(dm: DistanceMatrix) -> bool:
     On a Helly graph this pattern is equivalent to an isometric complete
     4-sun (it is the H3(0,0) detection pattern, materializable on demand).
     """
-    if dm.diam < 3:
-        return False
-    dist = dm.dist
-    n = dm.n
-    for p in range(n):
-        dp = dist[p]
-        rs = np.nonzero(dp == 3)[0]
-        rs = rs[rs > p]
-        for r in rs.tolist():
-            ids = np.nonzero((dp == 2) & (dist[r] == 2))[0]
-            if ids.size < 2:
-                continue
-            sub = dist[np.ix_(ids, ids)]
-            if (np.triu(sub == 3, k=1)).any():
-                return True
-    return False
+    return _scan_quadruples(dm, (3, 3), (2, 2), (3, 3)) is not None
 
 
-def half_hyperbolic_equivalents(
-    g: Graph,
-    *,
-    dm: DistanceMatrix | None = None,
-    assume_helly: bool = False,
-) -> dict[str, bool]:
+def half_hyperbolic_equivalents(a: Analysis) -> dict[str, bool]:
     """Four conditions that agree on Helly graphs, each decided directly.
 
     * hyperbolicity_le_half: h <= 1/2 by the exact quadruple scan.
@@ -632,13 +640,13 @@ def half_hyperbolic_equivalents(
     * thinness_le_1_no_sun_tips: interval thinness at most 1 and no
       side-2/diagonal-3 quadruple.
     """
-    dm = dm or apsp(g)
-    _require_helly(g, dm, assume_helly)
-    hb, _ = hyperbolicity(g, dm=dm)
+    _require_helly(a)
+    g, dm = a.g, a.dm
+    hb, _ = a.hyperbolicity
     c4 = _has_induced_c4(g)
     sun_tips = _has_sun_tip_pattern(dm)
     c4_sq = _has_induced_c4(graph_power(g, 2, dm=dm)) if dm.diam >= 2 else False
-    tau, _ = interval_thinness(g, dm=dm)
+    tau, _ = a.thinness
     return {
         "hyperbolicity_le_half": hb <= HalfInt(1),
         "no_induced_c4_or_sun_tips": not c4 and not sun_tips,
@@ -651,13 +659,7 @@ def half_hyperbolic_equivalents(
 # Power-graph characterization (independent literal route)
 # ---------------------------------------------------------------------------
 
-def power_characterization(
-    g: Graph,
-    threshold: HalfInt | int,
-    *,
-    dm: DistanceMatrix | None = None,
-    assume_helly: bool = False,
-) -> bool:
+def power_characterization(a: Analysis, threshold: HalfInt | int) -> bool:
     """Decide "hyperbolicity <= threshold" purely from power-graph 4-cycles.
 
     Works on power adjacency bitmasks only: a labeled 4-cycle lives in
@@ -672,8 +674,8 @@ def power_characterization(
     t = HalfInt.coerce(threshold)
     if t < 0:
         raise ValueError("threshold must be >= 0")
-    dm = dm or apsp(g)
-    _require_helly(g, dm, assume_helly)
+    _require_helly(a)
+    dm = a.dm
     if t.is_integer:
         return not _power_split_diagonal(dm, t.as_int())
     k = t.floor()

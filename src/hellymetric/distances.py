@@ -6,7 +6,7 @@ bitmasks (disk membership) and power-adjacency bitmasks.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -34,9 +34,6 @@ class DistanceMatrix:
 
     def d(self, u: int, v: int) -> int:
         return self._rows[u][v]
-
-    def row(self, v: int) -> np.ndarray:
-        return self.dist[v]
 
     def ball_bits(self, center: int, radius: int) -> int:
         """Bitmask of the disk D(center, radius); radius capped at ecc."""
@@ -168,31 +165,3 @@ def _component_of(g: Graph) -> list[int]:
         cid += 1
     return comp
 
-
-def disks_relation(dm: DistanceMatrix, u: int, p: int, v: int, q: int) -> str:
-    """Relation of disks D(u,p) and D(v,q): 'intersect', 'see-only', 'disjoint'.
-
-    Disks intersect iff d <= p+q; they see each other (only) iff d = p+q+1.
-    """
-    if p < 0 or q < 0:
-        raise ValueError("disk radii must be nonnegative")
-    d = dm.d(u, v)
-    if d <= p + q:
-        return "intersect"
-    if d == p + q + 1:
-        return "see-only"
-    return "disjoint"
-
-
-def eccentricity_product(dm: DistanceMatrix) -> int:
-    """Product of (ecc(v)+1) over all vertices, capped to avoid bignum blowup."""
-    prod = 1
-    for e in dm.ecc:
-        prod *= int(e) + 1
-        if prod > 10**18:
-            return prod
-    return prod
-
-
-def distance_profile(dm: DistanceMatrix, anchors: Sequence[int], v: int) -> tuple[int, ...]:
-    return tuple(dm.d(a, v) for a in anchors)

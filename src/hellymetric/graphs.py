@@ -7,7 +7,7 @@ algebra the scans rely on).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class GraphError(Exception):
@@ -93,16 +93,6 @@ class Graph:
             frontier = nxt & ~reached
             reached |= frontier
         return reached == full
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """New graph with vertex v renamed perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("perm must be a permutation of 0..n-1")
-        return Graph(
-            self.n,
-            [(perm[u], perm[v]) for u, v in self.edges()],
-            name=self.name,
-        )
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
@@ -267,6 +257,3 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
     )
     return sub, index
 
-
-def iter_vertices(g: Graph) -> Iterator[int]:
-    return iter(range(g.n))

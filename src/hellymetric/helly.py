@@ -4,8 +4,8 @@ A graph is Helly when every pairwise-intersecting family of disks has a
 common vertex.  Recognition uses the classical hypergraph triple test on the
 disk family: for each vertex triple {a,b,c}, intersect all disks containing
 at least two of them — per center v the smallest such disk has radius
-median(d(v,a), d(v,b), d(v,c)).  An exhaustive subfamily oracle
-(``helly_bruteforce``) keeps the triple test honest on small graphs.
+median(d(v,a), d(v,b), d(v,c)).  An exhaustive subfamily oracle in the
+test suite keeps the triple test honest on small graphs.
 """
 from __future__ import annotations
 
@@ -182,7 +182,7 @@ def _minimize_empty_family(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle
+# Pseudo-modularity by disk enumeration
 # ---------------------------------------------------------------------------
 
 def _distinct_disks(dm: DistanceMatrix) -> list[tuple[int, DiskConstraint]]:
@@ -198,41 +198,6 @@ def _distinct_disks(dm: DistanceMatrix) -> list[tuple[int, DiskConstraint]]:
             seen.add(mask)
             out.append((mask, DiskConstraint(v, r)))
     return out
-
-
-def helly_bruteforce(
-    g: Graph, *, dm: DistanceMatrix | None = None, max_disks: int = 22
-) -> bool:
-    """Exhaustive search for a pairwise-intersecting disk subfamily with empty
-    intersection.  Independent of the triple test; only for small instances."""
-    dm = dm or apsp(g)
-    disks = _distinct_disks(dm)
-    if len(disks) > max_disks:
-        raise EnumerationBudgetError(
-            f"{len(disks)} distinct disks exceed the cap of {max_disks}"
-        )
-    disks.sort(key=lambda mc: bin(mc[0]).count("1"))
-    masks = [m for m, _ in disks]
-    k = len(masks)
-
-    def dfs(start: int, chosen: list[int], inter: int) -> bool:
-        # if no remaining disk can shrink the running intersection, give up
-        if all(not (inter & ~masks[j]) for j in range(start, k)):
-            return False
-        for j in range(start, k):
-            mj = masks[j]
-            if any(not (mj & mc) for mc in chosen):
-                continue  # would break pairwise intersection
-            new_inter = inter & mj
-            if not new_inter:
-                return True  # pairwise-intersecting, common intersection empty
-            chosen.append(mj)
-            if dfs(j + 1, chosen, new_inter):
-                return True
-            chosen.pop()
-        return False
-
-    return not dfs(0, [], (1 << dm.n) - 1)
 
 
 def is_pseudo_modular(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detect import Analysis
 from .distances import DistanceMatrix, apsp
 from .graphs import Graph
 
@@ -155,14 +156,8 @@ def hull(
     return HullResult(tuple(funcs), hg, tuple(embedding))
 
 
-def hull_validate(
-    g: Graph,
-    *,
-    dm: DistanceMatrix | None = None,
-    budget: int | None = None,
-    result: HullResult | None = None,
-) -> dict[str, bool]:
-    """End-to-end hull checks; all values must come back True.
+def hull_validate(a: Analysis, *, result: HullResult | None = None) -> dict[str, bool]:
+    """End-to-end hull checks on the analyzed graph; all values must be True.
 
     * hull_is_helly: the hull graph satisfies the disk Helly property.
     * embedding_isometric: hull distances restricted to the image equal the
@@ -173,42 +168,27 @@ def hull_validate(
     * obstruction_decisions_match: for every half-integer threshold up to
       h+1, the probe on the hull fires exactly when h exceeds the threshold.
     """
-    from .detect import detect_H1_or_H3, detect_H2
-    from .helly import is_helly
-    from .hyperbolicity import hyperbolicity
-
-    dm = dm or apsp(g)
-    res = result or hull(g, dm=dm, budget=budget)
-    hg = res.graph
-    hdm = apsp(hg)
+    res = result or hull(a.g, dm=a.dm)
+    ha = Analysis(res.graph, threads=a.threads)
     checks: dict[str, bool] = {}
 
-    helly_ok = bool(is_helly(hg, dm=hdm))
+    helly_ok = bool(ha.helly)
     checks["hull_is_helly"] = helly_ok
 
     emb = np.array(res.embedding, dtype=np.int64)
     checks["embedding_isometric"] = bool(
-        (hdm.dist[np.ix_(emb, emb)] == dm.dist).all()
+        (ha.dm.dist[np.ix_(emb, emb)] == a.dm.dist).all()
     )
 
-    hb_g, _ = hyperbolicity(g, dm=dm)
-    hb_h, _ = hyperbolicity(hg, dm=hdm)
+    hb_g, _ = a.hyperbolicity
+    hb_h, _ = ha.hyperbolicity
     checks["hyperbolicity_preserved"] = hb_g == hb_h
 
-    cov = int(hdm.dist[:, emb].min(axis=1).max())
+    cov = int(ha.dm.dist[:, emb].min(axis=1).max())
     checks["covering_radius"] = cov <= hb_g.doubled
 
-    if helly_ok:
-        ok = True
-        for td in range(0, hb_g.doubled + 3):
-            if td % 2 == 0:
-                fired = detect_H2(hg, td // 2, dm=hdm) is not None
-            else:
-                fired = detect_H1_or_H3(hg, (td - 1) // 2, dm=hdm) is not None
-            if fired != (hb_g.doubled > td):
-                ok = False
-                break
-        checks["obstruction_decisions_match"] = ok
-    else:
-        checks["obstruction_decisions_match"] = False
+    checks["obstruction_decisions_match"] = helly_ok and all(
+        (ha.probe(td) is not None) == (hb_g.doubled > td)
+        for td in range(0, hb_g.doubled + 3)
+    )
     return checks

@@ -10,31 +10,19 @@ import time
 from dataclasses import dataclass
 
 from .detect import (
+    Analysis,
     ObstructionWitness,
-    detect_H1_or_H3,
-    detect_H2,
     half_hyperbolic_equivalents,
     hb_by_obstructions,
     hb_by_thinness,
     power_characterization,
 )
-from .distances import DistanceMatrix, apsp
 from .families import FamilyGraph, cell_to_host, host_side
 from .graphs import Graph
 from .halfint import HalfInt
-from .helly import (
-    DiskConstraint,
-    EnumerationBudgetError,
-    is_helly,
-    is_pseudo_modular,
-)
+from .helly import DiskConstraint, EnumerationBudgetError, is_pseudo_modular
 from .hull import HullBudgetError, hull, hull_validate
-from .hyperbolicity import (
-    HyperbolicityWitness,
-    ThinnessWitness,
-    hyperbolicity,
-    interval_thinness,
-)
+from .hyperbolicity import HyperbolicityWitness, ThinnessWitness
 
 
 @dataclass
@@ -68,12 +56,30 @@ def _since(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
+def _power_table(a: Analysis) -> tuple[tuple[HalfInt, bool], ...]:
+    """The power route's decision at every threshold 0, 1/2, ..., h + 1."""
+    hb, _ = a.hyperbolicity
+    return tuple(
+        (HalfInt(td), power_characterization(a, HalfInt(td)))
+        for td in range(0, hb.doubled + 3)
+    )
+
+
+def _power_mismatches(
+    power: tuple[tuple[HalfInt, bool], ...], hb: HalfInt
+) -> list[HalfInt]:
+    return [t for t, within in power if within != (hb <= t)]
+
+
+def _equivalents_agree(eq: dict[str, bool], hb: HalfInt) -> bool:
+    return set(eq.values()) == {hb <= HalfInt(1)}
+
+
 def build_analysis(
     g: Graph,
     *,
     threads: int = 1,
     include_hull: bool = True,
-    dm: DistanceMatrix | None = None,
 ) -> AnalysisReport:
     """Run every analysis phase on one connected graph.
 
@@ -85,11 +91,12 @@ def build_analysis(
     """
     timings: dict[str, int] = {}
     t0 = time.perf_counter()
-    dm = dm or apsp(g)
+    a = Analysis(g, threads=threads)
+    dm = a.dm
     timings["apsp"] = _since(t0)
 
     t0 = time.perf_counter()
-    hc = is_helly(g, dm=dm)
+    hc = a.helly
     timings["helly"] = _since(t0)
 
     t0 = time.perf_counter()
@@ -103,11 +110,11 @@ def build_analysis(
     timings["pseudo_modular"] = _since(t0)
 
     t0 = time.perf_counter()
-    hb, hw = hyperbolicity(g, dm=dm, threads=threads)
+    hb, hw = a.hyperbolicity
     timings["hyperbolicity"] = _since(t0)
 
     t0 = time.perf_counter()
-    tau, tw = interval_thinness(g, dm=dm)
+    tau, tw = a.thinness
     timings["thinness"] = _since(t0)
 
     ob: HalfInt | None = None
@@ -119,21 +126,17 @@ def build_analysis(
     t0 = time.perf_counter()
     if hc:
         probe_log: list[tuple[HalfInt, ObstructionWitness | None]] = []
-        ob = hb_by_obstructions(g, dm=dm, assume_helly=True, probes_out=probe_log)
+        ob = hb_by_obstructions(a, probes_out=probe_log)
         probes = tuple(probe_log)
-        th = hb_by_thinness(g, dm=dm, assume_helly=True)
-        power_list = []
-        power_ok = True
-        for td in range(0, hb.doubled + 3):
-            t = HalfInt(td)
-            within = power_characterization(g, t, dm=dm, assume_helly=True)
-            power_list.append((t, within))
-            power_ok = power_ok and within == (hb <= t)
-        power = tuple(power_list)
-        eq = half_hyperbolic_equivalents(g, dm=dm, assume_helly=True)
-        eq_vals = set(eq.values())
-        eq_ok = len(eq_vals) == 1 and next(iter(eq_vals)) == (hb <= HalfInt(1))
-        agree = ob == hb and th == hb and power_ok and eq_ok
+        th = hb_by_thinness(a)
+        power = _power_table(a)
+        eq = half_hyperbolic_equivalents(a)
+        agree = (
+            ob == hb
+            and th == hb
+            and not _power_mismatches(power, hb)
+            and _equivalents_agree(eq, hb)
+        )
     timings["classifiers"] = _since(t0)
 
     hull_info: dict[str, object] | None = None
@@ -141,7 +144,7 @@ def build_analysis(
     if include_hull:
         try:
             res = hull(g, dm=dm)
-            checks = hull_validate(g, dm=dm, result=res)
+            checks = hull_validate(a, result=res)
             hull_info = {
                 "n": res.graph.n,
                 "m": res.graph.m,
@@ -277,29 +280,27 @@ class ClaimResult:
     detail: str
 
 
-def verify_claims(g: Graph, *, dm: DistanceMatrix | None = None) -> list[ClaimResult]:
+def verify_claims(g: Graph) -> list[ClaimResult]:
     """Check the six cross-route identities on one Helly graph.
 
     Non-Helly input yields SKIP for every claim (the identities are only
     asserted for Helly graphs).
     """
-    dm = dm or apsp(g)
-    if not is_helly(g, dm=dm):
+    a = Analysis(g, threads=1)
+    if not a.helly:
         return [
             ClaimResult(cid, "SKIP", "input graph is not Helly")
             for cid in CLAIM_IDS
         ]
 
     out: list[ClaimResult] = []
-    hb, _ = hyperbolicity(g, dm=dm)
-    tau, _ = interval_thinness(g, dm=dm)
+    hb, _ = a.hyperbolicity
+    tau, _ = a.thinness
 
     window = tau <= hb.doubled <= tau + 1
-    fired_at_tau = (
-        detect_H1_or_H3(g, tau // 2, dm=dm) is not None if tau % 2 == 1 else False
-    )
+    fired_at_tau = tau % 2 == 1 and a.probe(tau) is not None
     tight = hb.doubled == tau + 1
-    ok = window and tight == (tau % 2 == 1 and fired_at_tau)
+    ok = window and tight == fired_at_tau
     out.append(
         ClaimResult(
             "Thm3-window",
@@ -312,7 +313,7 @@ def verify_claims(g: Graph, *, dm: DistanceMatrix | None = None) -> list[ClaimRe
     bad_int = [
         k
         for k in range(kmax + 1)
-        if (detect_H2(g, k, dm=dm) is not None) != (hb >= HalfInt(2 * k + 1))
+        if (a.probe(2 * k) is not None) != (hb >= HalfInt(2 * k + 1))
     ]
     out.append(
         ClaimResult(
@@ -326,8 +327,7 @@ def verify_claims(g: Graph, *, dm: DistanceMatrix | None = None) -> list[ClaimRe
     bad_half = [
         k
         for k in range(kmax + 1)
-        if (detect_H1_or_H3(g, k, dm=dm) is not None)
-        != (hb >= HalfInt.from_int(k + 1))
+        if (a.probe(2 * k + 1) is not None) != (hb >= HalfInt.from_int(k + 1))
     ]
     out.append(
         ClaimResult(
@@ -338,22 +338,17 @@ def verify_claims(g: Graph, *, dm: DistanceMatrix | None = None) -> list[ClaimRe
         )
     )
 
-    bad_pow = [
-        td
-        for td in range(0, hb.doubled + 3)
-        if power_characterization(g, HalfInt(td), dm=dm, assume_helly=True)
-        != (hb <= HalfInt(td))
-    ]
+    bad_pow = _power_mismatches(_power_table(a), hb)
     out.append(
         ClaimResult(
             "Thm5-powers",
             "PASS" if not bad_pow else "FAIL",
             f"thresholds 0..{HalfInt(hb.doubled + 2)}"
-            + ("" if not bad_pow else f", mismatched at {HalfInt(bad_pow[0])}"),
+            + ("" if not bad_pow else f", mismatched at {bad_pow[0]}"),
         )
     )
 
-    th = hb_by_thinness(g, dm=dm, assume_helly=True)
+    th = hb_by_thinness(a)
     parity_ok = th == hb and (tau % 2 == 1 or hb.doubled == tau)
     out.append(
         ClaimResult(
@@ -363,13 +358,11 @@ def verify_claims(g: Graph, *, dm: DistanceMatrix | None = None) -> list[ClaimRe
         )
     )
 
-    eq = half_hyperbolic_equivalents(g, dm=dm, assume_helly=True)
-    vals = set(eq.values())
-    eq_ok = len(vals) == 1 and next(iter(vals)) == (hb <= HalfInt(1))
+    eq = half_hyperbolic_equivalents(a)
     out.append(
         ClaimResult(
             "Cor3-equivalents",
-            "PASS" if eq_ok else "FAIL",
+            "PASS" if _equivalents_agree(eq, hb) else "FAIL",
             ", ".join(f"{k}={v}" for k, v in eq.items()),
         )
     )

@@ -1,8 +1,10 @@
 """Independent brute-force oracles for cross-checking the library.
 
-Everything here recomputes results from the raw adjacency structure with
-naive algorithms (dict BFS, exhaustive enumeration) and deliberately shares
-no code with the package internals.
+The oracles recompute results from the raw adjacency structure with naive
+algorithms (dict BFS, exhaustive enumeration) and share no code with the
+package internals.  The two exceptions at the end of the file,
+``helly_bruteforce`` and ``find_isometric_embedding``, run on the package's
+distance matrix and disk enumeration.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ from itertools import combinations, product
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
-from hellymetric import Graph
+from hellymetric import DistanceMatrix, EnumerationBudgetError, Graph, apsp
+from hellymetric.helly import _distinct_disks
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -157,3 +160,105 @@ def atlas_connected_graphs(max_n: int = 7) -> list[Graph]:
             continue
         out.append(from_networkx(ag))
     return out
+
+
+def helly_bruteforce(
+    g: Graph, *, dm: DistanceMatrix | None = None, max_disks: int = 22
+) -> bool:
+    """Exhaustive search for a pairwise-intersecting disk subfamily with empty
+    intersection.  Independent of the triple test; only for small instances."""
+    dm = dm or apsp(g)
+    disks = _distinct_disks(dm)
+    if len(disks) > max_disks:
+        raise EnumerationBudgetError(
+            f"{len(disks)} distinct disks exceed the cap of {max_disks}"
+        )
+    disks.sort(key=lambda mc: bin(mc[0]).count("1"))
+    masks = [m for m, _ in disks]
+    k = len(masks)
+
+    def dfs(start: int, chosen: list[int], inter: int) -> bool:
+        # if no remaining disk can shrink the running intersection, give up
+        if all(not (inter & ~masks[j]) for j in range(start, k)):
+            return False
+        for j in range(start, k):
+            mj = masks[j]
+            if any(not (mj & mc) for mc in chosen):
+                continue  # would break pairwise intersection
+            new_inter = inter & mj
+            if not new_inter:
+                return True  # pairwise-intersecting, common intersection empty
+            chosen.append(mj)
+            if dfs(j + 1, chosen, new_inter):
+                return True
+            chosen.pop()
+        return False
+
+    return not dfs(0, [], (1 << dm.n) - 1)
+
+
+def find_isometric_embedding(
+    pattern: Graph,
+    host: Graph,
+    *,
+    pattern_dm: DistanceMatrix | None = None,
+    host_dm: DistanceMatrix | None = None,
+) -> tuple[int, ...] | None:
+    """First isometric copy of pattern in host under a fixed search order.
+
+    Returns a tuple mapping pattern vertex i to host vertex result[i], or
+    None.  Backtracking over pattern vertices in BFS order from the vertex
+    of largest degree, filtering host candidates (ascending ids) by exact
+    distance agreement with every already-placed pattern vertex; the result
+    is deterministic for a given pair of graphs.
+    """
+    if pattern.n == 0 or pattern.n > host.n:
+        return None
+    pdm = pattern_dm or apsp(pattern)
+    hdm = host_dm or apsp(host)
+    order = _bfs_order(pattern)
+    pd = pdm._rows
+    hd = hdm._rows
+    assignment: list[int] = [-1] * pattern.n
+    used = [False] * host.n
+
+    def place(pos: int) -> bool:
+        if pos == pattern.n:
+            return True
+        pv = order[pos]
+        for hv in range(host.n):
+            if used[hv]:
+                continue
+            ok = True
+            for prev in order[:pos]:
+                if hd[assignment[prev]][hv] != pd[pv][prev]:
+                    ok = False
+                    break
+            if ok:
+                assignment[pv] = hv
+                used[hv] = True
+                if place(pos + 1):
+                    return True
+                used[hv] = False
+                assignment[pv] = -1
+        return False
+
+    if place(0):
+        return tuple(assignment)
+    return None
+
+
+def _bfs_order(g: Graph) -> list[int]:
+    start = max(range(g.n), key=lambda v: (g.degree(v), -v))
+    seen = [False] * g.n
+    seen[start] = True
+    order = [start]
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in g.neighbors[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return order

@@ -13,6 +13,7 @@ import networkx as nx
 import pytest
 
 from hellymetric import (
+    Analysis,
     Graph,
     HalfInt,
     HullBudgetError,
@@ -170,16 +171,14 @@ def test_criterion_3_thinness_window(atlas_helly, hull_corpus, report) -> None:
 def test_criterion_4_classifier_agreement(atlas_helly, hull_corpus, report) -> None:
     t0 = time.perf_counter()
     for g in atlas_helly + hull_corpus:
-        dm = apsp(g)
-        hb, _ = hyperbolicity(g, dm=dm)
-        assert hb_by_obstructions(g, dm=dm, assume_helly=True) == hb
-        assert hb_by_thinness(g, dm=dm, assume_helly=True) == hb
+        a = Analysis(g, threads=1)
+        hb, _ = a.hyperbolicity
+        assert hb_by_obstructions(a) == hb
+        assert hb_by_thinness(a) == hb
         for td in range(0, hb.doubled + 3):
-            within = power_characterization(
-                g, HalfInt(td), dm=dm, assume_helly=True
-            )
+            within = power_characterization(a, HalfInt(td))
             assert within == (hb <= HalfInt(td))
-        eq = half_hyperbolic_equivalents(g, dm=dm, assume_helly=True)
+        eq = half_hyperbolic_equivalents(a)
         assert len(set(eq.values())) == 1
         assert next(iter(eq.values())) == (hb <= HalfInt(1))
     elapsed = time.perf_counter() - t0
@@ -203,7 +202,7 @@ def test_criterion_5_hull_end_to_end(report) -> None:
         prob = 0.3 + 0.05 * (seed % 4)
         g = random_connected_graph(n, prob, seed)
         try:
-            checks = hull_validate(g)
+            checks = hull_validate(Analysis(g, threads=1))
         except HullBudgetError:
             continue
         assert all(checks.values()), (seed, checks)

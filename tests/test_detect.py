@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from hellymetric import (
+    Analysis,
     Graph,
     HalfInt,
     MaterializeError,
@@ -233,11 +234,12 @@ def test_resolve_window_rejects_out_of_window_quadruple() -> None:
 # ---------------------------------------------------------------------------
 
 def test_hb_by_obstructions_goldens() -> None:
-    assert hb_by_obstructions(diamond()) == HalfInt(1)
-    assert hb_by_obstructions(sun()) == HalfInt.from_int(1)
-    assert hb_by_obstructions(king_grid(3, 3)) == HalfInt.from_int(1)
-    assert hb_by_obstructions(path_graph(6)) == HalfInt(0)
-    assert hb_by_obstructions(complete_graph(4)) == HalfInt(0)
+    assert hb_by_obstructions(Analysis(diamond(), threads=1)) == HalfInt(1)
+    assert hb_by_obstructions(Analysis(sun(), threads=1)) == HalfInt.from_int(1)
+    king = Analysis(king_grid(3, 3), threads=1)
+    assert hb_by_obstructions(king) == HalfInt.from_int(1)
+    assert hb_by_obstructions(Analysis(path_graph(6), threads=1)) == HalfInt(0)
+    assert hb_by_obstructions(Analysis(complete_graph(4), threads=1)) == HalfInt(0)
 
 
 @pytest.mark.parametrize(
@@ -247,15 +249,16 @@ def test_hb_by_obstructions_goldens() -> None:
 def test_hb_routes_agree_on_families(family: str, k: int, l: int) -> None:
     g = build_obstruction(family, k, l).graph
     want = family_hyperbolicity(family, k, l)
-    assert hb_by_obstructions(g) == want
-    assert hb_by_thinness(g) == want
+    a = Analysis(g, threads=1)
+    assert hb_by_obstructions(a) == want
+    assert hb_by_thinness(a) == want
     direct, _ = hyperbolicity(g)
     assert direct == want
 
 
 def test_probe_log_records_descending_sweep() -> None:
     probes: list = []
-    value = hb_by_obstructions(diamond(), probes_out=probes)
+    value = hb_by_obstructions(Analysis(diamond(), threads=1), probes_out=probes)
     assert value == HalfInt(1)
     thresholds = [thr for thr, _ in probes]
     assert thresholds == [HalfInt(2), HalfInt(1), HalfInt(0)]
@@ -264,23 +267,22 @@ def test_probe_log_records_descending_sweep() -> None:
 
 
 def test_hb_by_thinness_on_king_grids() -> None:
-    assert hb_by_thinness(king_grid(3, 3)) == HalfInt.from_int(1)
-    assert hb_by_thinness(diamond()) == HalfInt(1)
-    assert hb_by_thinness(path_graph(5)) == HalfInt(0)
+    king = Analysis(king_grid(3, 3), threads=1)
+    assert hb_by_thinness(king) == HalfInt.from_int(1)
+    assert hb_by_thinness(Analysis(diamond(), threads=1)) == HalfInt(1)
+    assert hb_by_thinness(Analysis(path_graph(5), threads=1)) == HalfInt(0)
 
 
 def test_aggregates_reject_non_helly_input() -> None:
     g = cycle_graph(5)
     with pytest.raises(NotHellyError):
-        hb_by_obstructions(g)
+        hb_by_obstructions(Analysis(g, threads=1))
     with pytest.raises(NotHellyError):
-        hb_by_thinness(g)
+        hb_by_thinness(Analysis(g, threads=1))
     with pytest.raises(NotHellyError):
-        half_hyperbolic_equivalents(g)
+        half_hyperbolic_equivalents(Analysis(g, threads=1))
     with pytest.raises(NotHellyError):
-        power_characterization(g, 1)
-    # with the explicit override the sweep runs (soundness then rests on the caller)
-    hb_by_obstructions(g, assume_helly=True)
+        power_characterization(Analysis(g, threads=1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +290,24 @@ def test_aggregates_reject_non_helly_input() -> None:
 # ---------------------------------------------------------------------------
 
 def test_power_characterization_goldens() -> None:
-    s4 = sun()
+    s4 = Analysis(sun(), threads=1)
     assert power_characterization(s4, HalfInt(1)) is False  # h = 1 > 1/2
     assert power_characterization(s4, 1) is True
     assert power_characterization(s4, 0) is False
-    h2 = build_obstruction("H2", 1, 1).graph  # h = 3/2
+    h2 = Analysis(build_obstruction("H2", 1, 1).graph, threads=1)  # h = 3/2
     assert power_characterization(h2, 1) is False
     assert power_characterization(h2, HalfInt(3)) is True
-    assert power_characterization(diamond(), 0) is False
-    assert power_characterization(diamond(), HalfInt(1)) is True
-    assert power_characterization(path_graph(7), 0) is True
+    dia = Analysis(diamond(), threads=1)
+    assert power_characterization(dia, 0) is False
+    assert power_characterization(dia, HalfInt(1)) is True
+    assert power_characterization(Analysis(path_graph(7), threads=1), 0) is True
     with pytest.raises(ValueError, match="threshold"):
-        power_characterization(path_graph(3), HalfInt(-1))
+        power_characterization(Analysis(path_graph(3), threads=1), HalfInt(-1))
 
 
 def test_power_characterization_monotone_in_threshold() -> None:
-    g = king_grid(3, 3)  # h = 1
-    answers = [power_characterization(g, HalfInt(td)) for td in range(5)]
+    a = Analysis(king_grid(3, 3), threads=1)  # h = 1
+    answers = [power_characterization(a, HalfInt(td)) for td in range(5)]
     assert answers == [False, False, True, True, True]
     assert answers == sorted(answers)
 
@@ -323,13 +326,13 @@ EQUIV_KEYS = {
 
 def test_equivalents_all_false_above_half() -> None:
     for g in (king_grid(3, 3), sun()):
-        eq = half_hyperbolic_equivalents(g)
+        eq = half_hyperbolic_equivalents(Analysis(g, threads=1))
         assert set(eq) == EQUIV_KEYS
         assert set(eq.values()) == {False}
 
 
 def test_equivalents_all_true_at_or_below_half() -> None:
     for g in (path_graph(6), complete_graph(5), diamond()):
-        eq = half_hyperbolic_equivalents(g)
+        eq = half_hyperbolic_equivalents(Analysis(g, threads=1))
         assert set(eq) == EQUIV_KEYS
         assert set(eq.values()) == {True}

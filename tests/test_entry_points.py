@@ -1,0 +1,55 @@
+"""The benchmark's trace targets and the package's exports resolve.
+
+``perfbench/spans.py`` wraps the package's entry points by module and name;
+a rename or a call that bypasses the module-level name would silently drop
+a layer from the benchmark's traced runs.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import hellymetric
+from hellymetric import king_grid, to_edge_list
+from hellymetric.cli import main
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    assert spec is not None and spec.loader is not None
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_trace_targets_are_callable() -> None:
+    for module, name, _span in _spans_module().ENTRY_POINTS:
+        importlib.import_module(module)
+        assert callable(getattr(sys.modules[module], name, None)), (module, name)
+
+
+def test_traced_commands_reach_every_layer(tmp_path, capsys) -> None:
+    spans = _spans_module()
+    path = tmp_path / "king.edges"
+    path.write_text(to_edge_list(king_grid(3, 3)), encoding="utf-8")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced_main = sys.modules["hellymetric.cli"].main
+        assert traced_main is not main
+        assert traced_main(["analyze", str(path)]) == 0
+        assert traced_main(["verify", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    _self_s, calls = tracer.layer_totals()
+    assert set(calls) == {span for _m, _n, span in spans.ENTRY_POINTS}
+
+
+def test_package_exports_resolve() -> None:
+    for name in hellymetric.__all__:
+        assert getattr(hellymetric, name, None) is not None, name

@@ -12,10 +12,11 @@ from hellymetric import (
     family_cells,
     family_hyperbolicity,
     family_size,
-    find_isometric_embedding,
 )
 from hellymetric.families import cell_dist, cell_to_host, family_corner_cells
 from hellymetric.report import family_to_dot
+
+from oracles import find_isometric_embedding
 
 SQUARE_INSTANCES = [
     ("H1", 1, 1),

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_helly
+from oracles import brute_is_helly, helly_bruteforce
 
 from hellymetric import (
     DiskConstraint,
@@ -16,7 +16,6 @@ from hellymetric import (
     complete_graph,
     cycle_graph,
     find_median,
-    helly_bruteforce,
     is_helly,
     is_pseudo_modular,
     king_grid,

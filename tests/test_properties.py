@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hellymetric import (
+    Analysis,
     Graph,
     HalfInt,
     HullBudgetError,
@@ -44,10 +45,10 @@ def helly_graphs(draw) -> Graph:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_three_routes_agree_on_helly_graphs(g: Graph) -> None:
-    dm = apsp(g)
-    direct, _ = hyperbolicity(g, dm=dm)
-    assert hb_by_obstructions(g, dm=dm) == direct
-    assert hb_by_thinness(g, dm=dm) == direct
+    a = Analysis(g, threads=1)
+    direct, _ = a.hyperbolicity
+    assert hb_by_obstructions(a) == direct
+    assert hb_by_thinness(a) == direct
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,11 +77,11 @@ def test_probe_thresholds_and_materialization(g: Graph) -> None:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_power_route_equals_direct_value(g: Graph) -> None:
-    dm = apsp(g)
-    h, _ = hyperbolicity(g, dm=dm)
+    a = Analysis(g, threads=1)
+    h, _ = a.hyperbolicity
     answers = []
     for td in range(0, h.doubled + 3):
-        within = power_characterization(g, HalfInt(td), dm=dm)
+        within = power_characterization(a, HalfInt(td))
         assert within == (h <= HalfInt(td))
         answers.append(within)
     assert answers == sorted(answers)
@@ -89,9 +90,9 @@ def test_power_route_equals_direct_value(g: Graph) -> None:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_equivalents_agree_with_direct_value(g: Graph) -> None:
-    dm = apsp(g)
-    h, _ = hyperbolicity(g, dm=dm)
-    eq = half_hyperbolic_equivalents(g, dm=dm)
+    a = Analysis(g, threads=1)
+    h, _ = a.hyperbolicity
+    eq = half_hyperbolic_equivalents(a)
     assert len(set(eq.values())) == 1
     assert next(iter(eq.values())) == (h <= HalfInt(1))
 
@@ -159,7 +160,7 @@ def test_corpus_members_are_helly_and_self_hulled(hull_corpus) -> None:
 
 def test_corpus_routes_sample(hull_corpus) -> None:
     for g in hull_corpus[:25]:
-        dm = apsp(g)
-        direct, _ = hyperbolicity(g, dm=dm)
-        assert hb_by_obstructions(g, dm=dm, assume_helly=True) == direct
-        assert hb_by_thinness(g, dm=dm, assume_helly=True) == direct
+        a = Analysis(g, threads=1)
+        direct, _ = a.hyperbolicity
+        assert hb_by_obstructions(a) == direct
+        assert hb_by_thinness(a) == direct

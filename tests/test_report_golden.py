@@ -92,5 +92,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         data = {name: outputs(name, g, Path(tmp)) for name, g in CORPUS.items()}
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(data, indent=1, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
     print(f"wrote {len(data)} goldens to {GOLDEN}")
