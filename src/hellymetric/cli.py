@@ -337,7 +337,7 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    results = verify_claims(g)
+    results = verify_claims(g, threads=_default_threads())
     width = max(len(r.claim) for r in results)
     for r in results:
         sys.stdout.write(f"{r.status:<4} {r.claim:<{width}}  {r.detail}\n")

@@ -1,11 +1,42 @@
 """Helly/pseudo-modular recognition and the common-vertex primitives.
 
 A graph is Helly when every pairwise-intersecting family of disks has a
-common vertex.  Recognition uses the classical hypergraph triple test on the
+common vertex.  ``is_helly`` decides this with four local conditions on a
+connected graph, read off the adjacency bitsets and the distance rows:
+
+(a) triangle condition: for every edge vw and every u with
+    d(u,v) = d(u,w) = k >= 1, some common neighbour x of v and w has
+    d(u,x) = k-1;
+(b) quadrangle condition: for every v, w with d(v,w) = 2 and every u with
+    d(u,v) = d(u,w) = k and a common neighbour at distance k+1 from u, some
+    common neighbour x has d(u,x) = k-1;
+(c) clique-Helly: every extended triangle T* (the vertices adjacent to at
+    least two vertices of a triangle T, T included) has a vertex adjacent to
+    all its other members -- Szwarcfiter, *Recognizing clique-Helly graphs*
+    (1997);
+(d) every induced 4-cycle has a vertex adjacent to all four of its vertices.
+
+G is Helly iff (a)-(d) hold:
+
+* Necessity: each failure is a pairwise-intersecting disk family with empty
+  intersection -- D(u,k-1), D(v,1), D(w,1) for (a) and (b); the unit disks
+  around T* for (c); the four unit disks for (d).
+* Sufficiency: (a)+(b) make G weakly modular, so its triangle-square
+  complex is simply connected (Chalopin, Chepoi, Hirai, Osajda, *Weakly
+  modular graphs and nonpositive curvature*, 2020).  (d) cones off every
+  square, so the clique complex is simply connected too, and a clique-Helly
+  graph (c) with a simply connected clique complex is Helly (Chalopin,
+  Chepoi, Genevois, Hirai, Osajda, *Helly groups*, 2020).
+
+The witness of a "no" comes from the classical hypergraph triple test on the
 disk family: for each vertex triple {a,b,c}, intersect all disks containing
-at least two of them — per center v the smallest such disk has radius
-median(d(v,a), d(v,b), d(v,c)).  An exhaustive subfamily oracle in the
-test suite keeps the triple test honest on small graphs.
+at least two of them -- per center v the smallest such disk has radius
+median(d(v,a), d(v,b), d(v,c)).  The witness is the greedily minimized
+family of the lexicographically first failing triple, so it does not depend
+on which local condition failed.  The scan runs only on input the local test
+rejected, and a disagreement between the two is an internal error.  An
+exhaustive subfamily oracle in the test suite keeps both honest on small
+graphs.
 """
 from __future__ import annotations
 
@@ -87,19 +118,139 @@ def pick_common_vertex(
 
 
 # ---------------------------------------------------------------------------
-# Helly recognition: triple test
+# Helly recognition: local test, triple scan for the witness
 # ---------------------------------------------------------------------------
 
 def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
-    """Triple test over the disk family, with a disk-family witness on failure.
+    """Local test (a)-(d) of the module docstring, with a disk-family witness
+    from the triple scan when the answer is no.
 
     The witness is a pairwise-intersecting family with empty intersection,
     greedily minimized.
     """
     dm = dm or apsp(g)
-    n = dm.n
-    if n <= 2:
+    if not any(fails(g, dm) for fails in _LOCAL_CONDITIONS):
         return HellyCheck(True)
+    witness = _triple_witness(dm)
+    if witness is None:
+        raise RuntimeError(
+            "local Helly test and triple scan disagree: a local condition "
+            "fails but every vertex triple passes"
+        )
+    return HellyCheck(False, witness)
+
+
+def _bits_above(mask: int, v: int) -> list[int]:
+    """Ids of the set bits of a non-negative ``mask`` that exceed v."""
+    mask = mask >> (v + 1) << (v + 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _interval_condition_fails(
+    g: Graph, dm: DistanceMatrix, gap: int, *, need_up: bool
+) -> bool:
+    """Is there a pair v, w at distance ``gap`` and a vertex u with
+    d(u,v) = d(u,w) = k, such that no common neighbour of v and w lies at
+    distance k-1 from u (while, if ``need_up``, one lies at distance k+1)?
+
+    Per v, ``share`` marks which neighbours of v each partner w > v is
+    adjacent to; its product with the layer masks of N(v) counts, for every
+    (w, u), the common neighbours one step closer to (farther from) u.
+    """
+    dist = dm.dist
+    adjacent = dist == 1
+    step = max(1, (1 << 20) // dm.n)  # partners per block: bounded temporaries
+    for v in range(dm.n - 1):
+        nv = list(g.neighbors[v])
+        partners = np.nonzero(dist[v, v + 1:] == gap)[0] + (v + 1)
+        if not nv or partners.size == 0:
+            continue
+        dv = dist[v]
+        near = dist[nv]
+        down = (near == dv - 1).astype(np.int32)
+        up = (near == dv + 1).astype(np.int32)
+        for lo in range(0, partners.size, step):
+            ws = partners[lo:lo + step]
+            share = adjacent[np.ix_(ws, nv)].astype(np.int32)
+            bad = (dist[ws] == dv) & ((share @ down) == 0)
+            if need_up:
+                bad &= (share @ up) > 0
+            if bad.any():
+                return True
+    return False
+
+
+def _triangle_condition_fails(g: Graph, dm: DistanceMatrix) -> bool:
+    """(a) Edge vw, d(u,v) = d(u,w) = k >= 1: a common neighbour x of v and
+    w needs d(u,x) = k-1."""
+    return _interval_condition_fails(g, dm, 1, need_up=False)
+
+
+def _quadrangle_condition_fails(g: Graph, dm: DistanceMatrix) -> bool:
+    """(b) d(v,w) = 2, d(u,v) = d(u,w) = k and a common neighbour at distance
+    k+1 from u: a common neighbour x needs d(u,x) = k-1."""
+    return _interval_condition_fails(g, dm, 2, need_up=True)
+
+
+def _clique_helly_fails(g: Graph, dm: DistanceMatrix) -> bool:
+    """(c) Some extended triangle has no universal vertex (Szwarcfiter).
+
+    The extended triangle of T = {a, b, c} holds every vertex adjacent to at
+    least two vertices of T, T included; a universal vertex is adjacent to
+    all its other members.
+    """
+    adj = g.adj_bits
+    for a in range(g.n):
+        na = adj[a]
+        for b in _bits_above(na, a):
+            nab = na & adj[b]
+            for c in _bits_above(nab, b):
+                nc = adj[c]
+                ext = nab | (na & nc) | (adj[b] & nc)
+                universal = ext
+                for y in _bits_above(ext, -1):
+                    universal &= adj[y] | (1 << y)
+                    if not universal:
+                        return True
+    return False
+
+
+def _undominated_c4(g: Graph, dm: DistanceMatrix) -> bool:
+    """(d) Some induced 4-cycle a-b-c-d has no vertex adjacent to all four.
+
+    Each induced 4-cycle is met once: a is its least vertex, c the vertex
+    opposite a, and b < d.
+    """
+    dist = dm.dist
+    adj = g.adj_bits
+    for a in range(g.n):
+        for c in (np.nonzero(dist[a, a + 1:] == 2)[0] + (a + 1)).tolist():
+            common = adj[a] & adj[c]
+            for b in _bits_above(common, a):
+                dom = common & adj[b]
+                for d in _bits_above(common & ~adj[b], b):
+                    if not (dom & adj[d]):
+                        return True
+    return False
+
+
+_LOCAL_CONDITIONS = (
+    _triangle_condition_fails,
+    _quadrangle_condition_fails,
+    _clique_helly_fails,
+    _undominated_c4,
+)
+
+
+def _triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
+    """Triple test over the disk family: the minimized witness of the
+    lexicographically first failing vertex triple, or None if none fails."""
+    n = dm.n
     dist = dm.dist
     rows = dm._rows
     ball = dm.ball_bits
@@ -150,9 +301,8 @@ def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
                         - np.maximum(hi_ab, dc_np)
                         - np.minimum(lo_ab, dc_np)
                     )
-                witness = _minimize_empty_family(dm, med)
-                return HellyCheck(False, witness)
-    return HellyCheck(True)
+                return _minimize_empty_family(dm, med)
+    return None
 
 
 def _minimize_empty_family(

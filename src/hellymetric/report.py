@@ -280,13 +280,14 @@ class ClaimResult:
     detail: str
 
 
-def verify_claims(g: Graph) -> list[ClaimResult]:
+def verify_claims(g: Graph, *, threads: int = 1) -> list[ClaimResult]:
     """Check the six cross-route identities on one Helly graph.
 
     Non-Helly input yields SKIP for every claim (the identities are only
-    asserted for Helly graphs).
+    asserted for Helly graphs).  ``threads`` is the worker count of the
+    hyperbolicity scan.
     """
-    a = Analysis(g, threads=1)
+    a = Analysis(g, threads=threads)
     if not a.helly:
         return [
             ClaimResult(cid, "SKIP", "input graph is not Helly")

@@ -271,7 +271,7 @@ def test_criterion_6_oracle_equivalence(atlas_graphs, report) -> None:
 
     report(
         "6 oracle equivalence: PASS "
-        f"(996 graphs, triple test == brute force in {elapsed_a:.1f} s; "
+        f"(996 graphs, local Helly test == brute force in {elapsed_a:.1f} s; "
         f"{resolved} squared 4-cycles resolved to materialized 4-suns)"
     )
 

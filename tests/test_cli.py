@@ -3,8 +3,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from hellymetric import cycle_graph, king_grid, load_graph, to_edge_list
 from hellymetric.cli import main
 from hellymetric.report import CLAIM_IDS
@@ -324,3 +322,26 @@ def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv("HELLYMETRIC_THREADS", "not-a-number")
     assert main(["analyze", path, "--no-hull"]) == 0
     capsys.readouterr()
+
+
+def test_verify_honours_threads_environment_variable(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import hellymetric.detect as detect
+
+    path = write_graph(tmp_path, "king45.edges", king_grid(4, 5))
+    scan = detect.hyperbolicity
+    seen: list[int] = []
+
+    def recording(g, **kwargs):
+        seen.append(kwargs["threads"])
+        return scan(g, **kwargs)
+
+    monkeypatch.setattr(detect, "hyperbolicity", recording)
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HELLYMETRIC_THREADS", threads)
+        assert main(["verify", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert seen == [1, 2]

@@ -6,7 +6,6 @@ import pytest
 from hellymetric import (
     FamilyValidationError,
     HalfInt,
-    apsp,
     build_obstruction,
     expected_corner_pattern,
     family_cells,
