@@ -37,7 +37,7 @@ from .graphs import (
     random_connected_graph,
     to_edge_list,
 )
-from .helly import MedianSearchError, is_helly
+from .helly import InternalInconsistencyError, MedianSearchError, is_helly
 from .hull import HullBudgetError, hull
 from .report import (
     build_analysis,
@@ -93,12 +93,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 f"B({c.center},{c.radius})" for c in report.helly_counterexample
             )
         ),
-        "pseudo-modular: "
-        + (
-            "unknown (" + str(report.pseudo_modular_note) + ")"
-            if report.is_pseudo_modular is None
-            else ("yes" if report.is_pseudo_modular else "no")
-        ),
+        f"pseudo-modular: {'yes' if report.is_pseudo_modular else 'no'}",
         f"hyperbolicity: {report.hyperbolicity}  "
         f"quadruple={report.hyperbolicity_witness.quadruple} "
         f"pairing sums={report.hyperbolicity_witness.sums}",
@@ -426,6 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     except NotHellyError as exc:
         sys.stderr.write(f"precondition: {exc}\n")
         return 4
+    except InternalInconsistencyError as exc:
+        sys.stderr.write(f"internal inconsistency: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

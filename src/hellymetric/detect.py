@@ -42,6 +42,7 @@ from .halfint import HalfInt
 from .helly import (
     DiskConstraint,
     HellyCheck,
+    InternalInconsistencyError,
     find_median,
     is_helly,
     pick_common_vertex,
@@ -56,10 +57,6 @@ from .hyperbolicity import (
 
 class NotHellyError(Exception):
     """The operation requires a Helly input graph."""
-
-
-class InternalInconsistencyError(RuntimeError):
-    """Two routes that must agree produced different answers."""
 
 
 class MaterializeError(Exception):
@@ -115,7 +112,6 @@ def _realizes_corner_pattern(
 
 
 def _anchored_placement(
-    g: Graph,
     dm: DistanceMatrix,
     family: str,
     k: int,
@@ -239,7 +235,7 @@ def materialize(
     fam, k, l = w.family, w.k, w.l
     quad = w.corners
     if _realizes_corner_pattern(dm, fam, k, l, quad):
-        placement = _anchored_placement(g, dm, fam, k, l, quad)
+        placement = _anchored_placement(dm, fam, k, l, quad)
         return tuple(sorted(placement[cc] for cc in family_cells(fam, k, l)))
     x, y, z, t = quad
     if (
@@ -250,7 +246,7 @@ def materialize(
         and dm.d(x, z) == 2 * k + 2
         and dm.d(y, t) == 2 * k + 2
     ):
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
         cells = family_cells("H2", k, k)
         return tuple(sorted(placement[(s + 1, tt + 1)] for s, tt in cells))
     if fam in ("H1", "H3") and k == l:
@@ -329,7 +325,7 @@ def detect_H1(
     found = _scan_h1_pattern(dm, k)
     if found is None:
         return None
-    placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, found)
+    placement = _anchored_placement(dm, "H1", k + 1, k + 1, found)
     return _make_witness("H1", k + 1, k + 1, placement, found)
 
 
@@ -357,9 +353,9 @@ def detect_H2(
     if quad is None:
         return None
     if dm.d(quad[1], quad[3]) == diag - 1:
-        placement = _anchored_placement(g, dm, "H2", k, k, quad)
+        placement = _anchored_placement(dm, "H2", k, k, quad)
         return _make_witness("H2", k, k, placement, quad)
-    placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
+    placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
     return _make_witness("H2", k, k, placement, quad, shift=(1, 1))
 
 
@@ -377,7 +373,7 @@ def detect_H1_or_H3(
     dm = dm or apsp(g)
     found = _scan_h1_pattern(dm, k)
     if found is not None:
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, found)
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, found)
         return _make_witness("H1", k + 1, k + 1, placement, found)
     lo = 2 * k + 3
     quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
@@ -427,10 +423,10 @@ def resolve_window_quadruple(
             dxz, dyt = d(x, z), d(y, t)
         if dyt == 2 * k + 4:
             # both diagonals maximal: the quadruple is an H1(k+2,k+2) frame
-            placement = _anchored_placement(g, dm, "H1", k + 2, k + 2, quad)
+            placement = _anchored_placement(dm, "H1", k + 2, k + 2, quad)
             return _make_witness("H1", k + 1, k + 1, placement, scanned)
         # mixed diagonals: an H2(k+1,k+1) frame, long diagonal on (x,z)
-        placement = _anchored_placement(g, dm, "H2", k + 1, k + 1, quad)
+        placement = _anchored_placement(dm, "H2", k + 1, k + 1, quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     # both diagonals 2k+3; sides are k+1 or k+2, and two adjacent sides
@@ -446,7 +442,7 @@ def resolve_window_quadruple(
 
     if n_short == 2:
         # two opposite short sides: a rectangular H1(k+2, k+1) frame
-        placement = _anchored_placement(g, dm, "H1", k + 2, k + 1, quad)
+        placement = _anchored_placement(dm, "H1", k + 2, k + 1, quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     if n_short == 1:
@@ -463,7 +459,7 @@ def resolve_window_quadruple(
                 f"median of ({x},{z2},{t}) must be a vertex here"
             )
         new_quad = (x, y, z2, med2.vertex)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     # all sides k+2: probe the two corner medians; if either derived inner
@@ -484,7 +480,7 @@ def resolve_window_quadruple(
                 f"median of ({y_x},{z},{t_x}) must be a vertex here"
             )
         new_quad = (x, y_x, mv.vertex, t_x)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
     if d(t_z, y_z) == 2 * k + 2:
         mv = find_median(g, y_z, x, t_z, dm=dm)
@@ -493,9 +489,9 @@ def resolve_window_quadruple(
                 f"median of ({y_z},{x},{t_z}) must be a vertex here"
             )
         new_quad = (z, y_z, mv.vertex, t_z)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
-    placement = _anchored_placement(g, dm, "H3", k, k, quad)
+    placement = _anchored_placement(dm, "H3", k, k, quad)
     return _make_witness("H3", k, k, placement, scanned)
 
 

@@ -1,42 +1,47 @@
 """Helly/pseudo-modular recognition and the common-vertex primitives.
 
 A graph is Helly when every pairwise-intersecting family of disks has a
-common vertex.  ``is_helly`` decides this with four local conditions on a
-connected graph, read off the adjacency bitsets and the distance rows:
+common vertex, and pseudo-modular when every such family of three disks has
+one.  Both are decided by local conditions on a connected graph, read off
+the adjacency bitsets and the distance rows:
 
 (a) triangle condition: for every edge vw and every u with
     d(u,v) = d(u,w) = k >= 1, some common neighbour x of v and w has
     d(u,x) = k-1;
-(b) quadrangle condition: for every v, w with d(v,w) = 2 and every u with
-    d(u,v) = d(u,w) = k and a common neighbour at distance k+1 from u, some
-    common neighbour x has d(u,x) = k-1;
+(b') quadrangle condition: for every v, w with d(v,w) = 2 and every u with
+    d(u,v) = d(u,w) = k, some common neighbour x of v and w has
+    d(u,x) = k-1;
 (c) clique-Helly: every extended triangle T* (the vertices adjacent to at
     least two vertices of a triangle T, T included) has a vertex adjacent to
     all its other members -- Szwarcfiter, *Recognizing clique-Helly graphs*
     (1997);
 (d) every induced 4-cycle has a vertex adjacent to all four of its vertices.
 
-G is Helly iff (a)-(d) hold:
+G is pseudo-modular iff (a) and (b') hold (Bandelt, Mulder, *Pseudo-modular
+graphs*, Discrete Math. 62, 1986), and Helly iff it is pseudo-modular and
+(c) and (d) hold:
 
 * Necessity: each failure is a pairwise-intersecting disk family with empty
-  intersection -- D(u,k-1), D(v,1), D(w,1) for (a) and (b); the unit disks
+  intersection -- D(u,k-1), D(v,1), D(w,1) for (a) and (b'); the unit disks
   around T* for (c); the four unit disks for (d).
-* Sufficiency: (a)+(b) make G weakly modular, so its triangle-square
-  complex is simply connected (Chalopin, Chepoi, Hirai, Osajda, *Weakly
-  modular graphs and nonpositive curvature*, 2020).  (d) cones off every
-  square, so the clique complex is simply connected too, and a clique-Helly
-  graph (c) with a simply connected clique complex is Helly (Chalopin,
-  Chepoi, Genevois, Hirai, Osajda, *Helly groups*, 2020).
+* Sufficiency: (a) and (b') make G weakly modular ((b') contains the
+  quadrangle condition of weak modularity, which asks for x only when some
+  common neighbour of v and w lies at distance k+1 from u), so its
+  triangle-square complex is simply connected (Chalopin, Chepoi, Hirai,
+  Osajda, *Weakly modular graphs and nonpositive curvature*, 2020).  (d)
+  cones off every square, so the clique complex is simply connected too,
+  and a clique-Helly graph (c) with a simply connected clique complex is
+  Helly (Chalopin, Chepoi, Genevois, Hirai, Osajda, *Helly groups*, 2020).
 
-The witness of a "no" comes from the classical hypergraph triple test on the
-disk family: for each vertex triple {a,b,c}, intersect all disks containing
-at least two of them -- per center v the smallest such disk has radius
-median(d(v,a), d(v,b), d(v,c)).  The witness is the greedily minimized
-family of the lexicographically first failing triple, so it does not depend
-on which local condition failed.  The scan runs only on input the local test
-rejected, and a disagreement between the two is an internal error.  An
-exhaustive subfamily oracle in the test suite keeps both honest on small
-graphs.
+The witness of a Helly "no" comes from the classical hypergraph triple test
+on the disk family: for each vertex triple {a,b,c}, intersect all disks
+containing at least two of them -- per center v the smallest such disk has
+radius median(d(v,a), d(v,b), d(v,c)).  The witness is the greedily
+minimized family of the lexicographically first failing triple, so it does
+not depend on which local condition failed.  The scan runs only on input the
+local test rejected, and a disagreement between the two is an internal
+error.  Exhaustive disk-enumeration oracles in the test suite keep both
+deciders honest on small graphs.
 """
 from __future__ import annotations
 
@@ -50,8 +55,8 @@ from .graphs import Graph
 from .halfint import HalfInt
 
 
-class EnumerationBudgetError(Exception):
-    """An exhaustive check was asked to run past its instance-size cap."""
+class InternalInconsistencyError(RuntimeError):
+    """Two routes that must agree produced different answers."""
 
 
 class MedianSearchError(Exception):
@@ -122,8 +127,8 @@ def pick_common_vertex(
 # ---------------------------------------------------------------------------
 
 def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
-    """Local test (a)-(d) of the module docstring, with a disk-family witness
-    from the triple scan when the answer is no.
+    """Local test (a), (b'), (c), (d) of the module docstring, with a
+    disk-family witness from the triple scan when the answer is no.
 
     The witness is a pairwise-intersecting family with empty intersection,
     greedily minimized.
@@ -133,7 +138,7 @@ def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
         return HellyCheck(True)
     witness = _triple_witness(dm)
     if witness is None:
-        raise RuntimeError(
+        raise InternalInconsistencyError(
             "local Helly test and triple scan disagree: a local condition "
             "fails but every vertex triple passes"
         )
@@ -151,16 +156,15 @@ def _bits_above(mask: int, v: int) -> list[int]:
     return out
 
 
-def _interval_condition_fails(
-    g: Graph, dm: DistanceMatrix, gap: int, *, need_up: bool
-) -> bool:
-    """Is there a pair v, w at distance ``gap`` and a vertex u with
-    d(u,v) = d(u,w) = k, such that no common neighbour of v and w lies at
-    distance k-1 from u (while, if ``need_up``, one lies at distance k+1)?
+def _interval_violation(
+    g: Graph, dm: DistanceMatrix, gap: int
+) -> tuple[int, int, int] | None:
+    """The first (u, v, w) with d(v,w) = ``gap`` and d(u,v) = d(u,w) = k such
+    that no common neighbour of v and w lies at distance k-1 from u, or None.
 
     Per v, ``share`` marks which neighbours of v each partner w > v is
-    adjacent to; its product with the layer masks of N(v) counts, for every
-    (w, u), the common neighbours one step closer to (farther from) u.
+    adjacent to; its product with the layer mask of N(v) counts, for every
+    (w, u), the common neighbours one step closer to u.
     """
     dist = dm.dist
     adjacent = dist == 1
@@ -171,30 +175,31 @@ def _interval_condition_fails(
         if not nv or partners.size == 0:
             continue
         dv = dist[v]
-        near = dist[nv]
-        down = (near == dv - 1).astype(np.int32)
-        up = (near == dv + 1).astype(np.int32)
+        down = (dist[nv] == dv - 1).astype(np.int32)
         for lo in range(0, partners.size, step):
             ws = partners[lo:lo + step]
             share = adjacent[np.ix_(ws, nv)].astype(np.int32)
             bad = (dist[ws] == dv) & ((share @ down) == 0)
-            if need_up:
-                bad &= (share @ up) > 0
             if bad.any():
-                return True
-    return False
+                i, u = np.argwhere(bad)[0]
+                return int(u), v, int(ws[i])
+    return None
 
 
-def _triangle_condition_fails(g: Graph, dm: DistanceMatrix) -> bool:
+def _triangle_violation(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[int, int, int] | None:
     """(a) Edge vw, d(u,v) = d(u,w) = k >= 1: a common neighbour x of v and
     w needs d(u,x) = k-1."""
-    return _interval_condition_fails(g, dm, 1, need_up=False)
+    return _interval_violation(g, dm, 1)
 
 
-def _quadrangle_condition_fails(g: Graph, dm: DistanceMatrix) -> bool:
-    """(b) d(v,w) = 2, d(u,v) = d(u,w) = k and a common neighbour at distance
-    k+1 from u: a common neighbour x needs d(u,x) = k-1."""
-    return _interval_condition_fails(g, dm, 2, need_up=True)
+def _quadrangle_violation(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[int, int, int] | None:
+    """(b') d(v,w) = 2, d(u,v) = d(u,w) = k: a common neighbour x of v and w
+    needs d(u,x) = k-1."""
+    return _interval_violation(g, dm, 2)
 
 
 def _clique_helly_fails(g: Graph, dm: DistanceMatrix) -> bool:
@@ -240,8 +245,8 @@ def _undominated_c4(g: Graph, dm: DistanceMatrix) -> bool:
 
 
 _LOCAL_CONDITIONS = (
-    _triangle_condition_fails,
-    _quadrangle_condition_fails,
+    _triangle_violation,
+    _quadrangle_violation,
     _clique_helly_fails,
     _undominated_c4,
 )
@@ -254,7 +259,6 @@ def _triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
     dist = dm.dist
     rows = dm._rows
     ball = dm.ball_bits
-    cand_rows = dist  # ndarray view for vectorized candidate checks
     for a in range(n):
         da_np = dist[a]
         da = rows[a]
@@ -268,40 +272,27 @@ def _triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
             for c in range(b + 1, n):
                 dac = da[c]
                 dbc = db[c]
-                cands = (
+                dc_np = dist[c]
+                # med3 = sum - max - min, computed row-wise
+                med = (
+                    sum_ab
+                    + dc_np
+                    - np.maximum(hi_ab, dc_np)
+                    - np.minimum(lo_ab, dc_np)
+                )
+                m = (
                     ball(a, min(dab, dac))
                     & ball(b, min(dab, dbc))
                     & ball(c, min(dac, dbc))
                 )
-                if cands:
-                    dc_np = dist[c]
-                    # med3 = sum - max - min, computed row-wise
-                    med = (
-                        sum_ab
-                        + dc_np
-                        - np.maximum(hi_ab, dc_np)
-                        - np.minimum(lo_ab, dc_np)
-                    )
-                    ok = False
-                    m = cands
-                    while m:
-                        low = m & -m
-                        x = low.bit_length() - 1
-                        m ^= low
-                        if (cand_rows[x] <= med).all():
-                            ok = True
-                            break
-                    if ok:
-                        continue
+                while m:
+                    low = m & -m
+                    x = low.bit_length() - 1
+                    m ^= low
+                    if (dist[x] <= med).all():
+                        break
                 else:
-                    dc_np = dist[c]
-                    med = (
-                        sum_ab
-                        + dc_np
-                        - np.maximum(hi_ab, dc_np)
-                        - np.minimum(lo_ab, dc_np)
-                    )
-                return _minimize_empty_family(dm, med)
+                    return _minimize_empty_family(dm, med)
     return None
 
 
@@ -332,52 +323,31 @@ def _minimize_empty_family(
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-modularity by disk enumeration
+# Pseudo-modularity: conditions (a) and (b')
 # ---------------------------------------------------------------------------
 
-def _distinct_disks(dm: DistanceMatrix) -> list[tuple[int, DiskConstraint]]:
-    """All distinct nontrivial disks (mask, constraint); whole-V disks dropped."""
-    full = (1 << dm.n) - 1
-    seen: set[int] = set()
-    out: list[tuple[int, DiskConstraint]] = []
-    for v in range(dm.n):
-        for r in range(int(dm.ecc[v]) + 1):
-            mask = dm.ball_bits(v, r)
-            if mask == full or mask in seen:
-                continue
-            seen.add(mask)
-            out.append((mask, DiskConstraint(v, r)))
-    return out
-
-
 def is_pseudo_modular(
-    g: Graph, *, dm: DistanceMatrix | None = None, max_disks: int = 400
+    g: Graph, *, dm: DistanceMatrix | None = None
 ) -> PseudoModularCheck:
     """Do all triples of pairwise-intersecting disks share a vertex?
 
-    Literal enumeration over distinct nontrivial disks; guarded by a size cap
-    because the triple count is cubic in the number of disks.
+    Decided by (a) and (b') of the module docstring.  A "no" carries the
+    first violation (u, v, w) as the disks D(u,k-1), D(v,1), D(w,1) with
+    k = d(u,v): they intersect pairwise and share no vertex.
     """
     dm = dm or apsp(g)
-    disks = _distinct_disks(dm)
-    if len(disks) > max_disks:
-        raise EnumerationBudgetError(
-            f"{len(disks)} distinct disks exceed the cap of {max_disks}"
-        )
-    k = len(disks)
-    for i in range(k):
-        mi, ci = disks[i]
-        for j in range(i + 1, k):
-            mj, cj = disks[j]
-            mij = mi & mj
-            if not mij:
-                continue  # i,j disjoint: no triple through them qualifies
-            for t in range(j + 1, k):
-                mt, ct = disks[t]
-                if not (mi & mt) or not (mj & mt):
-                    continue
-                if not (mij & mt):
-                    return PseudoModularCheck(False, (ci, cj, ct))
+    for violation in (_triangle_violation, _quadrangle_violation):
+        hit = violation(g, dm)
+        if hit is not None:
+            u, v, w = hit
+            return PseudoModularCheck(
+                False,
+                (
+                    DiskConstraint(u, dm.d(u, v) - 1),
+                    DiskConstraint(v, 1),
+                    DiskConstraint(w, 1),
+                ),
+            )
     return PseudoModularCheck(True)
 
 

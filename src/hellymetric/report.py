@@ -20,7 +20,7 @@ from .detect import (
 from .families import FamilyGraph, cell_to_host, host_side
 from .graphs import Graph
 from .halfint import HalfInt
-from .helly import DiskConstraint, EnumerationBudgetError, is_pseudo_modular
+from .helly import DiskConstraint, is_pseudo_modular
 from .hull import HullBudgetError, hull, hull_validate
 from .hyperbolicity import HyperbolicityWitness, ThinnessWitness
 
@@ -36,8 +36,7 @@ class AnalysisReport:
     radius: int
     is_helly: bool
     helly_counterexample: tuple[DiskConstraint, ...] | None
-    is_pseudo_modular: bool | None
-    pseudo_modular_note: str | None
+    is_pseudo_modular: bool
     hyperbolicity: HalfInt
     hyperbolicity_witness: HyperbolicityWitness
     thinness: int
@@ -100,13 +99,7 @@ def build_analysis(
     timings["helly"] = _since(t0)
 
     t0 = time.perf_counter()
-    pm: bool | None
-    pm_note: str | None = None
-    try:
-        pm = bool(is_pseudo_modular(g, dm=dm))
-    except EnumerationBudgetError as exc:
-        pm = None
-        pm_note = str(exc)
+    pm = bool(is_pseudo_modular(g, dm=dm))
     timings["pseudo_modular"] = _since(t0)
 
     t0 = time.perf_counter()
@@ -163,7 +156,6 @@ def build_analysis(
         is_helly=bool(hc),
         helly_counterexample=hc.counterexample,
         is_pseudo_modular=pm,
-        pseudo_modular_note=pm_note,
         hyperbolicity=hb,
         hyperbolicity_witness=hw,
         thinness=tau,
@@ -238,7 +230,8 @@ def report_to_dict(r: AnalysisReport) -> dict[str, object]:
             for c in r.helly_counterexample
         ],
         "is_pseudo_modular": r.is_pseudo_modular,
-        "pseudo_modular_note": r.pseudo_modular_note,
+        # pseudo-modularity is always decided; the key stays for a stable key set
+        "pseudo_modular_note": None,
         "hyperbolicity_doubled": r.hyperbolicity.doubled,
         "hyperbolicity_witness": {
             "quadruple": list(r.hyperbolicity_witness.quadruple),

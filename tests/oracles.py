@@ -2,9 +2,11 @@
 
 The oracles recompute results from the raw adjacency structure with naive
 algorithms (dict BFS, exhaustive enumeration) and share no code with the
-package internals.  The two exceptions at the end of the file,
-``helly_bruteforce`` and ``find_isometric_embedding``, run on the package's
-distance matrix and disk enumeration.
+package internals.  The exceptions at the end of the file run on the
+package's distance matrix: ``helly_bruteforce`` and
+``pseudo_modular_bruteforce`` enumerate its distinct disks
+(``distinct_disks``, size-capped by ``EnumerationBudgetError``), and
+``find_isometric_embedding`` searches its distance rows.
 """
 from __future__ import annotations
 
@@ -15,8 +17,17 @@ from itertools import combinations, product
 import networkx as nx
 from networkx.generators.atlas import graph_atlas_g
 
-from hellymetric import DistanceMatrix, EnumerationBudgetError, Graph, apsp
-from hellymetric.helly import _distinct_disks
+from hellymetric import (
+    DiskConstraint,
+    DistanceMatrix,
+    Graph,
+    PseudoModularCheck,
+    apsp,
+)
+
+
+class EnumerationBudgetError(Exception):
+    """An exhaustive check was asked to run past its instance-size cap."""
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
@@ -162,17 +173,63 @@ def atlas_connected_graphs(max_n: int = 7) -> list[Graph]:
     return out
 
 
+def distinct_disks(
+    dm: DistanceMatrix, *, max_disks: int
+) -> list[tuple[int, DiskConstraint]]:
+    """All distinct nontrivial disks (mask, constraint); whole-V disks dropped.
+
+    Raises EnumerationBudgetError past ``max_disks`` disks."""
+    full = (1 << dm.n) - 1
+    seen: set[int] = set()
+    out: list[tuple[int, DiskConstraint]] = []
+    for v in range(dm.n):
+        for r in range(int(dm.ecc[v]) + 1):
+            mask = dm.ball_bits(v, r)
+            if mask == full or mask in seen:
+                continue
+            seen.add(mask)
+            out.append((mask, DiskConstraint(v, r)))
+    if len(out) > max_disks:
+        raise EnumerationBudgetError(
+            f"{len(out)} distinct disks exceed the cap of {max_disks}"
+        )
+    return out
+
+
+def pseudo_modular_bruteforce(
+    g: Graph, *, dm: DistanceMatrix | None = None, max_disks: int = 400
+) -> PseudoModularCheck:
+    """Do all triples of pairwise-intersecting disks share a vertex?
+
+    Literal enumeration over distinct nontrivial disks; the triple count is
+    cubic in the number of disks, hence the cap.
+    """
+    dm = dm or apsp(g)
+    disks = distinct_disks(dm, max_disks=max_disks)
+    k = len(disks)
+    for i in range(k):
+        mi, ci = disks[i]
+        for j in range(i + 1, k):
+            mj, cj = disks[j]
+            mij = mi & mj
+            if not mij:
+                continue  # i,j disjoint: no triple through them qualifies
+            for t in range(j + 1, k):
+                mt, ct = disks[t]
+                if not (mi & mt) or not (mj & mt):
+                    continue
+                if not (mij & mt):
+                    return PseudoModularCheck(False, (ci, cj, ct))
+    return PseudoModularCheck(True)
+
+
 def helly_bruteforce(
     g: Graph, *, dm: DistanceMatrix | None = None, max_disks: int = 22
 ) -> bool:
     """Exhaustive search for a pairwise-intersecting disk subfamily with empty
     intersection.  Independent of the triple test; only for small instances."""
     dm = dm or apsp(g)
-    disks = _distinct_disks(dm)
-    if len(disks) > max_disks:
-        raise EnumerationBudgetError(
-            f"{len(disks)} distinct disks exceed the cap of {max_disks}"
-        )
+    disks = distinct_disks(dm, max_disks=max_disks)
     disks.sort(key=lambda mc: bin(mc[0]).count("1"))
     masks = [m for m, _ in disks]
     k = len(masks)

@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import json
 
-from hellymetric import cycle_graph, king_grid, load_graph, to_edge_list
+from hellymetric import (
+    InternalInconsistencyError,
+    build_obstruction,
+    cycle_graph,
+    king_grid,
+    load_graph,
+    to_edge_list,
+)
 from hellymetric.cli import main
 from hellymetric.report import CLAIM_IDS
 
@@ -156,6 +163,43 @@ def test_analyze_json_to_stdout(tmp_path, capsys) -> None:
     assert main(["analyze", path, "--json", "-"]) == 0
     out = capsys.readouterr().out
     assert '"name": "k4"' in out
+
+
+def test_analyze_decides_pseudo_modularity_on_large_input(tmp_path, capsys) -> None:
+    path = write_graph(tmp_path, "king1010.edges", king_grid(10, 10))
+    json_path = tmp_path / "r.json"
+    assert main(["analyze", path, "--no-hull", "--json", str(json_path)]) == 0
+    assert "pseudo-modular: yes" in capsys.readouterr().out
+    payload = json.loads(json_path.read_text(encoding="utf-8"))
+    assert payload["is_pseudo_modular"] is True
+    assert payload["pseudo_modular_note"] is None
+
+
+def assert_internal_inconsistency(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("internal inconsistency: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_analyze_exits_2_when_helly_deciders_disagree(tmp_path, capsys, monkeypatch) -> None:
+    import hellymetric.helly as helly
+
+    path = write_graph(tmp_path, "c5.edges", cycle_graph(5))
+    monkeypatch.setattr(helly, "_triple_witness", lambda dm: None)
+    assert main(["analyze", path]) == 2
+    assert_internal_inconsistency(capsys)
+
+
+def test_analyze_exits_2_when_routes_disagree(tmp_path, capsys, monkeypatch) -> None:
+    import hellymetric.report as report
+
+    def disagreeing(a, **kwargs):
+        raise InternalInconsistencyError("probe and scan disagree")
+
+    path = write_graph(tmp_path, "diamond.edges", build_obstruction("H2", 0, 0).graph)
+    monkeypatch.setattr(report, "hb_by_obstructions", disagreeing)
+    assert main(["analyze", path]) == 2
+    assert_internal_inconsistency(capsys)
 
 
 # ---------------------------------------------------------------------------

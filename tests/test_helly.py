@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_is_helly, helly_bruteforce
+from oracles import EnumerationBudgetError, brute_is_helly, helly_bruteforce
 
 from hellymetric import (
     DiskConstraint,
-    EnumerationBudgetError,
     Graph,
     MedianSearchError,
     apsp,

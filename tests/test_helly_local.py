@@ -16,8 +16,8 @@ from hellymetric.graphs import random_connected_graph
 from hellymetric.helly import (
     _LOCAL_CONDITIONS,
     _clique_helly_fails,
-    _quadrangle_condition_fails,
-    _triangle_condition_fails,
+    _quadrangle_violation,
+    _triangle_violation,
     _triple_witness,
     _undominated_c4,
 )
@@ -86,23 +86,23 @@ def test_local_matches_triple_scan_on_random_graphs() -> None:
 # one named graph per condition
 # ---------------------------------------------------------------------------
 
-def three_sun() -> Graph:
-    """Triangle 0-1-2 with a tip on each edge: 3 on 01, 4 on 12, 5 on 02."""
-    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1), (4, 1), (4, 2), (5, 0), (5, 2)])
+def octahedron() -> Graph:
+    """K2,2,2: every pair adjacent except the antipodal 0-1, 2-3, 4-5."""
+    return Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6) if b != a + 1 or a % 2])
 
 
 @pytest.mark.parametrize(
     "name,g,broken",
     [
-        ("C5", cycle_graph(5), _triangle_condition_fails),
-        ("C6", cycle_graph(6), _quadrangle_condition_fails),
-        ("3-sun", three_sun(), _clique_helly_fails),
+        ("C5", cycle_graph(5), _triangle_violation),
+        ("C6", cycle_graph(6), _quadrangle_violation),
+        ("octahedron", octahedron(), _clique_helly_fails),
         ("C4", cycle_graph(4), _undominated_c4),
     ],
 )
 def test_each_condition_alone_rejects(name, g, broken) -> None:
     dm = apsp(g)
-    assert [fails(g, dm) for fails in _LOCAL_CONDITIONS] == [
+    assert [bool(fails(g, dm)) for fails in _LOCAL_CONDITIONS] == [
         fails is broken for fails in _LOCAL_CONDITIONS
     ], name
     chk = is_helly(g)
