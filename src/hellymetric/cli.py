@@ -194,8 +194,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError("--family random-hull requires --n")
     base = random_connected_graph(args.n, args.prob, args.seed)
-    res = hull(base)
-    g = res.graph
+    try:
+        g = hull(base).graph
+    except HullBudgetError as exc:
+        sys.stderr.write(f"hull enumeration refused: {exc}\n")
+        return 4
     if args.dot:
         _emit(graph_to_dot(g), args.output)
         return 0

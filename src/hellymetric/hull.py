@@ -6,11 +6,21 @@ equivalent to f(u) = max_v (d(u, v) - f(v)) for every u.  Two distinct
 extremal functions are adjacent in the hull exactly when they differ by at
 most 1 everywhere.  Mapping v to the distance row d(v, .) embeds the
 original graph isometrically; a graph is Helly iff it equals its own hull.
+
+``extremal_functions`` finds the points by a depth-first search over the
+vertices in BFS order that only reaches extremal functions: each value is
+capped by the largest slack d(u, v) - f(v) it could still be tight against,
+and a branch dies as soon as an assigned vertex can no longer be tight, so
+every leaf is a hull point and nothing is filtered afterwards.  Its work
+follows the number of hull points, not the size of the candidate box.  The
+budget is unchanged: a pre-check refuses any graph whose worst-case box
+prod(ecc(v) + 1) exceeds it, before the search starts.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -49,11 +59,26 @@ def extremal_functions(
 ) -> list[tuple[int, ...]]:
     """All integer extremal functions of the graph metric, sorted.
 
-    Enumerates candidate vectors bounded below by the pairwise constraints
-    and above by eccentricities, then keeps exactly the vectors satisfying
-    f(u) = max_v (d(u,v) - f(v)).  Refuses to start when the worst-case
-    search space prod(ecc(v)+1) exceeds the budget (override with the
-    budget argument or the HELLYMETRIC_HULL_BUDGET environment variable).
+    Assigns f(v) vertex by vertex in BFS order, depth first.  Each
+    assignment raises the lower bounds of the unassigned vertices to
+    d(u, v) - f(u), and a branch dies when a bound passes ecc(v).  Write
+    cur(v) for f(v) if v is assigned and for its lower bound otherwise; cur
+    only grows along a branch.  Two prunes keep the search on extremal
+    functions:
+
+    * cap: f(u) is tried only up to max_v (d(u,v) - cur(v)), at most ecc(u);
+    * tightness: after an assignment the branch is dropped if some assigned u
+      has max_v (d(u,v) - cur(v)) < f(u).
+
+    Neither prune loses an extremal function f, because f >= cur gives
+    f(u) = max_v (d(u,v) - f(v)) <= max_v (d(u,v) - cur(v)).  Conversely a
+    leaf satisfies every pair constraint by the bound propagation, so
+    max_v (d(u,v) - f(v)) <= f(u), and the tightness prune gives the reverse
+    inequality: every leaf is extremal, and nothing is filtered afterwards.
+
+    Refuses to start when the worst-case search space prod(ecc(v)+1)
+    exceeds the budget (override with the budget argument or the
+    HELLYMETRIC_HULL_BUDGET environment variable).
     """
     dm = dm or apsp(g)
     n = g.n
@@ -67,49 +92,33 @@ def extremal_functions(
             )
 
     order = _bfs_vertex_order(g)
-    dist_rows = [dm._rows[v] for v in order]
     ecc = [int(dm.ecc[v]) for v in order]
-    candidates: list[tuple[int, ...]] = []
-    vals = [0] * n
+    rows = [[dm._rows[u][v] for v in order] for u in order]  # in search order
+    leaves: list[tuple[int, ...]] = []
 
-    def assign(pos: int, lbs: list[int]) -> None:
+    def assign(pos: int, cur: list[int]) -> None:
         if pos == n:
-            candidates.append(tuple(vals))
+            leaves.append(tuple(cur))
             return
-        row = dist_rows[pos]
-        for val in range(lbs[pos], ecc[pos] + 1):
-            vals[pos] = val
-            nxt = lbs[:]
-            ok = True
+        row = rows[pos]
+        for val in range(cur[pos], max(map(sub, row, cur)) + 1):  # cap
+            nxt = cur[:]
+            nxt[pos] = val
             for q in range(pos + 1, n):
-                need = row[order[q]] - val
+                need = row[q] - val
                 if need > nxt[q]:
                     if need > ecc[q]:
-                        ok = False
                         break
                     nxt[q] = need
-            if ok:
-                assign(pos + 1, nxt)
+            else:  # every bound fits; check tightness of the assigned vertices
+                if all(max(map(sub, rows[u], nxt)) >= nxt[u] for u in range(pos + 1)):
+                    assign(pos + 1, nxt)
 
     assign(0, [0] * n)
-    if not candidates:
-        return []
-
-    # vectors are in search order; re-express in vertex order, then filter
     inv = [0] * n
     for i, v in enumerate(order):
         inv[v] = i
-    arr = np.array(candidates, dtype=np.int32)[:, inv]
-    dmat = dm.dist.astype(np.int32)
-    keep: list[np.ndarray] = []
-    for start in range(0, arr.shape[0], 1024):
-        block = arr[start : start + 1024]
-        # sup[m, u] = max_v (d(u, v) - f_m(v))
-        sup = (dmat[None, :, :] - block[:, None, :]).max(axis=2)
-        keep.append((sup == block).all(axis=1))
-    mask = np.concatenate(keep)
-    funcs = sorted(tuple(int(x) for x in row) for row in arr[mask])
-    return funcs
+    return sorted(tuple(f[i] for i in inv) for f in leaves)
 
 
 def _bfs_vertex_order(g: Graph) -> list[int]:

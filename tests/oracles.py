@@ -5,8 +5,10 @@ algorithms (dict BFS, exhaustive enumeration) and share no code with the
 package internals.  The exceptions at the end of the file run on the
 package's distance matrix: ``helly_bruteforce`` and
 ``pseudo_modular_bruteforce`` enumerate its distinct disks
-(``distinct_disks``, size-capped by ``EnumerationBudgetError``), and
-``find_isometric_embedding`` searches its distance rows.
+(``distinct_disks``, size-capped by ``EnumerationBudgetError``),
+``box_extremal_functions`` enumerates the hull's candidate box under the
+package's own budget pre-check, and ``find_isometric_embedding`` searches
+its distance rows.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import networkx as nx
+import numpy as np
 from networkx.generators.atlas import graph_atlas_g
 
 from hellymetric import (
@@ -24,6 +27,7 @@ from hellymetric import (
     PseudoModularCheck,
     apsp,
 )
+from hellymetric.hull import HullBudgetError, _bfs_vertex_order, _resolve_budget
 
 
 class EnumerationBudgetError(Exception):
@@ -252,6 +256,74 @@ def helly_bruteforce(
         return False
 
     return not dfs(0, [], (1 << dm.n) - 1)
+
+
+def box_extremal_functions(
+    g: Graph, *, budget: int | None = None
+) -> list[tuple[int, ...]]:
+    """All extremal functions by enumerating the candidate box, then filtering.
+
+    Stores every vector between the propagated lower bounds and the
+    eccentricities, in the package's BFS order, then keeps exactly the
+    vectors with f(u) = max_v (d(u,v) - f(v)) by a numpy filter over
+    1024-row blocks.  The same prod(ecc+1) budget pre-check as
+    ``hellymetric.hull.extremal_functions`` refuses the same inputs.
+    """
+    dm = apsp(g)
+    n = g.n
+    limit = _resolve_budget(budget)
+    space = 1
+    for e in dm.ecc:
+        space *= int(e) + 1
+        if space > limit:
+            raise HullBudgetError(
+                f"hull search space exceeds budget: prod(ecc+1) > {limit}"
+            )
+
+    order = _bfs_vertex_order(g)
+    dist_rows = [dm._rows[v] for v in order]
+    ecc = [int(dm.ecc[v]) for v in order]
+    candidates: list[tuple[int, ...]] = []
+    vals = [0] * n
+
+    def assign(pos: int, lbs: list[int]) -> None:
+        if pos == n:
+            candidates.append(tuple(vals))
+            return
+        row = dist_rows[pos]
+        for val in range(lbs[pos], ecc[pos] + 1):
+            vals[pos] = val
+            nxt = lbs[:]
+            ok = True
+            for q in range(pos + 1, n):
+                need = row[order[q]] - val
+                if need > nxt[q]:
+                    if need > ecc[q]:
+                        ok = False
+                        break
+                    nxt[q] = need
+            if ok:
+                assign(pos + 1, nxt)
+
+    assign(0, [0] * n)
+    if not candidates:
+        return []
+
+    # vectors are in search order; re-express in vertex order, then filter
+    inv = [0] * n
+    for i, v in enumerate(order):
+        inv[v] = i
+    arr = np.array(candidates, dtype=np.int32)[:, inv]
+    dmat = dm.dist.astype(np.int32)
+    keep: list[np.ndarray] = []
+    for start in range(0, arr.shape[0], 1024):
+        block = arr[start : start + 1024]
+        # sup[m, u] = max_v (d(u, v) - f_m(v))
+        sup = (dmat[None, :, :] - block[:, None, :]).max(axis=2)
+        keep.append((sup == block).all(axis=1))
+    mask = np.concatenate(keep)
+    funcs = sorted(tuple(int(x) for x in row) for row in arr[mask])
+    return funcs
 
 
 def find_isometric_embedding(

@@ -89,6 +89,15 @@ def test_generate_random_hull_is_deterministic(capsys) -> None:
     load_graph(first)  # parses back as a connected graph
 
 
+def test_generate_random_hull_refusal(capsys) -> None:
+    argv = ["generate", "--family", "random-hull", "--n", "40", "--seed", "1"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hull enumeration refused: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_generate_dot_outputs(capsys) -> None:
     assert main(["generate", "--family", "h1", "--k", "1", "--dot"]) == 0
     dot = capsys.readouterr().out
