@@ -14,6 +14,7 @@ hyperbolicity scan; HELLYMETRIC_HULL_BUDGET caps hull enumeration size.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,9 +78,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
-    report = build_analysis(
-        g, threads=args.threads, include_hull=not args.no_hull
-    )
+    threads = _default_threads() if args.threads is None else args.threads
+    report = build_analysis(g, threads=threads, include_hull=not args.no_hull)
 
     lines = [
         f"graph: {report.name}  n={report.n} m={report.m} "
@@ -351,7 +351,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; defaults read from the
+    environment are resolved by each command, not here."""
     p = argparse.ArgumentParser(
         prog="hellymetric",
         description="Exact hyperbolicity, obstruction, and hull analysis "
@@ -361,7 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="run every analysis phase on a graph")
     pa.add_argument("path", help="edge-list file")
-    pa.add_argument("--threads", type=int, default=_default_threads())
+    pa.add_argument(
+        "--threads", type=int, default=None, help=f"default: ${_THREADS_ENV} or 1"
+    )
     pa.add_argument("--json", default=None, help="write a JSON report here ('-' for stdout)")
     pa.add_argument("--no-hull", action="store_true", help="skip the hull phase")
     pa.set_defaults(func=cmd_analyze)

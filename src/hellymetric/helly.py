@@ -33,15 +33,11 @@ graphs*, Discrete Math. 62, 1986), and Helly iff it is pseudo-modular and
   and a clique-Helly graph (c) with a simply connected clique complex is
   Helly (Chalopin, Chepoi, Genevois, Hirai, Osajda, *Helly groups*, 2020).
 
-The witness of a Helly "no" comes from the classical hypergraph triple test
-on the disk family: for each vertex triple {a,b,c}, intersect all disks
-containing at least two of them -- per center v the smallest such disk has
-radius median(d(v,a), d(v,b), d(v,c)).  The witness is the greedily
-minimized family of the lexicographically first failing triple, so it does
-not depend on which local condition failed.  The scan runs only on input the
-local test rejected, and a disagreement between the two is an internal
-error.  Exhaustive disk-enumeration oracles in the test suite keep both
-deciders honest on small graphs.
+The witness of a Helly "no" is the disk family of the first condition found
+failing, in the order (a), (b'), (c), (d): three disks for (a) and (b'),
+|T*| unit disks for (c), four unit disks for (d).  Exhaustive
+disk-enumeration oracles and the classical vertex-triple test in the test
+suite keep the decider honest on small graphs.
 """
 from __future__ import annotations
 
@@ -75,6 +71,7 @@ class DiskConstraint:
 class HellyCheck:
     is_helly: bool
     counterexample: tuple[DiskConstraint, ...] | None = None
+    pseudo_modular: bool = True  # False only when (a) or (b') failed
 
     def __bool__(self) -> bool:
         return self.is_helly
@@ -123,26 +120,24 @@ def pick_common_vertex(
 
 
 # ---------------------------------------------------------------------------
-# Helly recognition: local test, triple scan for the witness
+# Helly recognition: local test, witness from the failing condition
 # ---------------------------------------------------------------------------
 
 def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
-    """Local test (a), (b'), (c), (d) of the module docstring, with a
-    disk-family witness from the triple scan when the answer is no.
+    """Local test (a), (b'), (c), (d) of the module docstring.
 
-    The witness is a pairwise-intersecting family with empty intersection,
-    greedily minimized.
+    A "no" carries the disk family of the first failing condition: it
+    intersects pairwise and has an empty intersection.
     """
     dm = dm or apsp(g)
-    if not any(fails(g, dm) for fails in _LOCAL_CONDITIONS):
-        return HellyCheck(True)
-    witness = _triple_witness(dm)
-    if witness is None:
-        raise InternalInconsistencyError(
-            "local Helly test and triple scan disagree: a local condition "
-            "fails but every vertex triple passes"
-        )
-    return HellyCheck(False, witness)
+    pm = is_pseudo_modular(g, dm=dm)
+    if not pm:
+        return HellyCheck(False, pm.counterexample, pseudo_modular=False)
+    for violation in (_clique_helly_fails, _undominated_c4):
+        disks = violation(g, dm)
+        if disks is not None:
+            return HellyCheck(False, disks)
+    return HellyCheck(True)
 
 
 def _bits_above(mask: int, v: int) -> list[int]:
@@ -158,9 +153,10 @@ def _bits_above(mask: int, v: int) -> list[int]:
 
 def _interval_violation(
     g: Graph, dm: DistanceMatrix, gap: int
-) -> tuple[int, int, int] | None:
-    """The first (u, v, w) with d(v,w) = ``gap`` and d(u,v) = d(u,w) = k such
-    that no common neighbour of v and w lies at distance k-1 from u, or None.
+) -> tuple[DiskConstraint, ...] | None:
+    """For the first (u, v, w) with d(v,w) = ``gap`` and d(u,v) = d(u,w) = k
+    such that no common neighbour of v and w lies at distance k-1 from u, the
+    disks D(u,k-1), D(v,1), D(w,1); None if there is no such triple.
 
     Per v, ``share`` marks which neighbours of v each partner w > v is
     adjacent to; its product with the layer mask of N(v) counts, for every
@@ -182,13 +178,17 @@ def _interval_violation(
             bad = (dist[ws] == dv) & ((share @ down) == 0)
             if bad.any():
                 i, u = np.argwhere(bad)[0]
-                return int(u), v, int(ws[i])
+                return (
+                    DiskConstraint(int(u), int(dv[u]) - 1),
+                    DiskConstraint(v, 1),
+                    DiskConstraint(int(ws[i]), 1),
+                )
     return None
 
 
 def _triangle_violation(
     g: Graph, dm: DistanceMatrix
-) -> tuple[int, int, int] | None:
+) -> tuple[DiskConstraint, ...] | None:
     """(a) Edge vw, d(u,v) = d(u,w) = k >= 1: a common neighbour x of v and
     w needs d(u,x) = k-1."""
     return _interval_violation(g, dm, 1)
@@ -196,18 +196,23 @@ def _triangle_violation(
 
 def _quadrangle_violation(
     g: Graph, dm: DistanceMatrix
-) -> tuple[int, int, int] | None:
+) -> tuple[DiskConstraint, ...] | None:
     """(b') d(v,w) = 2, d(u,v) = d(u,w) = k: a common neighbour x of v and w
     needs d(u,x) = k-1."""
     return _interval_violation(g, dm, 2)
 
 
-def _clique_helly_fails(g: Graph, dm: DistanceMatrix) -> bool:
-    """(c) Some extended triangle has no universal vertex (Szwarcfiter).
+def _clique_helly_fails(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[DiskConstraint, ...] | None:
+    """(c) The unit disks around the first extended triangle T* with no
+    universal vertex (Szwarcfiter), or None.
 
     The extended triangle of T = {a, b, c} holds every vertex adjacent to at
     least two vertices of T, T included; a universal vertex is adjacent to
-    all its other members.
+    all its other members.  Each unit disk around T* holds two vertices of T,
+    so the disks meet pairwise, and a common vertex would lie in T* and be
+    universal.
     """
     adj = g.adj_bits
     for a in range(g.n):
@@ -218,15 +223,19 @@ def _clique_helly_fails(g: Graph, dm: DistanceMatrix) -> bool:
                 nc = adj[c]
                 ext = nab | (na & nc) | (adj[b] & nc)
                 universal = ext
-                for y in _bits_above(ext, -1):
+                members = _bits_above(ext, -1)
+                for y in members:
                     universal &= adj[y] | (1 << y)
                     if not universal:
-                        return True
-    return False
+                        return tuple(DiskConstraint(x, 1) for x in members)
+    return None
 
 
-def _undominated_c4(g: Graph, dm: DistanceMatrix) -> bool:
-    """(d) Some induced 4-cycle a-b-c-d has no vertex adjacent to all four.
+def _undominated_c4(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[DiskConstraint, ...] | None:
+    """(d) The unit disks D(a,1), D(b,1), D(c,1), D(d,1) of the first induced
+    4-cycle a-b-c-d with no vertex adjacent to all four, or None.
 
     Each induced 4-cycle is met once: a is its least vertex, c the vertex
     opposite a, and b < d.
@@ -240,86 +249,8 @@ def _undominated_c4(g: Graph, dm: DistanceMatrix) -> bool:
                 dom = common & adj[b]
                 for d in _bits_above(common & ~adj[b], b):
                     if not (dom & adj[d]):
-                        return True
-    return False
-
-
-_LOCAL_CONDITIONS = (
-    _triangle_violation,
-    _quadrangle_violation,
-    _clique_helly_fails,
-    _undominated_c4,
-)
-
-
-def _triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
-    """Triple test over the disk family: the minimized witness of the
-    lexicographically first failing vertex triple, or None if none fails."""
-    n = dm.n
-    dist = dm.dist
-    rows = dm._rows
-    ball = dm.ball_bits
-    for a in range(n):
-        da_np = dist[a]
-        da = rows[a]
-        for b in range(a + 1, n):
-            db_np = dist[b]
-            db = rows[b]
-            dab = da[b]
-            hi_ab = np.maximum(da_np, db_np)
-            lo_ab = np.minimum(da_np, db_np)
-            sum_ab = da_np.astype(np.int32) + db_np
-            for c in range(b + 1, n):
-                dac = da[c]
-                dbc = db[c]
-                dc_np = dist[c]
-                # med3 = sum - max - min, computed row-wise
-                med = (
-                    sum_ab
-                    + dc_np
-                    - np.maximum(hi_ab, dc_np)
-                    - np.minimum(lo_ab, dc_np)
-                )
-                m = (
-                    ball(a, min(dab, dac))
-                    & ball(b, min(dab, dbc))
-                    & ball(c, min(dac, dbc))
-                )
-                while m:
-                    low = m & -m
-                    x = low.bit_length() - 1
-                    m ^= low
-                    if (dist[x] <= med).all():
-                        break
-                else:
-                    return _minimize_empty_family(dm, med)
+                        return tuple(DiskConstraint(x, 1) for x in (a, b, c, d))
     return None
-
-
-def _minimize_empty_family(
-    dm: DistanceMatrix, radii: np.ndarray
-) -> tuple[DiskConstraint, ...]:
-    """Greedily drop disks from {D(v, radii[v])} while the intersection stays
-    empty.  The input family is pairwise-intersecting by construction (each
-    radius is a median of distances to one vertex triple), and subfamilies
-    inherit that."""
-    n = dm.n
-    keep = list(range(n))
-    masks = {v: dm.ball_bits(v, int(radii[v])) for v in keep}
-
-    def empty(ids: Sequence[int]) -> bool:
-        m = (1 << n) - 1
-        for v in ids:
-            m &= masks[v]
-            if not m:
-                return True
-        return not m
-
-    for v in list(keep):
-        trial = [u for u in keep if u != v]
-        if trial and empty(trial):
-            keep = trial
-    return tuple(DiskConstraint(v, int(radii[v])) for v in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +268,9 @@ def is_pseudo_modular(
     """
     dm = dm or apsp(g)
     for violation in (_triangle_violation, _quadrangle_violation):
-        hit = violation(g, dm)
-        if hit is not None:
-            u, v, w = hit
-            return PseudoModularCheck(
-                False,
-                (
-                    DiskConstraint(u, dm.d(u, v) - 1),
-                    DiskConstraint(v, 1),
-                    DiskConstraint(w, 1),
-                ),
-            )
+        disks = violation(g, dm)
+        if disks is not None:
+            return PseudoModularCheck(False, disks)
     return PseudoModularCheck(True)
 
 

@@ -20,7 +20,7 @@ from .detect import (
 from .families import FamilyGraph, cell_to_host, host_side
 from .graphs import Graph
 from .halfint import HalfInt
-from .helly import DiskConstraint, is_pseudo_modular
+from .helly import DiskConstraint
 from .hull import HullBudgetError, hull, hull_validate
 from .hyperbolicity import HyperbolicityWitness, ThinnessWitness
 
@@ -99,10 +99,6 @@ def build_analysis(
     timings["helly"] = _since(t0)
 
     t0 = time.perf_counter()
-    pm = bool(is_pseudo_modular(g, dm=dm))
-    timings["pseudo_modular"] = _since(t0)
-
-    t0 = time.perf_counter()
     hb, hw = a.hyperbolicity
     timings["hyperbolicity"] = _since(t0)
 
@@ -155,7 +151,7 @@ def build_analysis(
         radius=dm.rad,
         is_helly=bool(hc),
         helly_counterexample=hc.counterexample,
-        is_pseudo_modular=pm,
+        is_pseudo_modular=hc.pseudo_modular,
         hyperbolicity=hb,
         hyperbolicity_witness=hw,
         thinness=tau,

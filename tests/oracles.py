@@ -6,15 +6,17 @@ package internals.  The exceptions at the end of the file run on the
 package's distance matrix: ``helly_bruteforce`` and
 ``pseudo_modular_bruteforce`` enumerate its distinct disks
 (``distinct_disks``, size-capped by ``EnumerationBudgetError``),
-``box_extremal_functions`` enumerates the hull's candidate box under the
-package's own budget pre-check, and ``find_isometric_embedding`` searches
-its distance rows.
+``triple_witness`` runs the vertex-triple test on its distance rows and
+disk masks, ``box_extremal_functions`` enumerates the hull's candidate box
+under the package's own budget pre-check, and ``find_isometric_embedding``
+searches its distance rows.
 """
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Sequence
 
 import networkx as nx
 import numpy as np
@@ -256,6 +258,82 @@ def helly_bruteforce(
         return False
 
     return not dfs(0, [], (1 << dm.n) - 1)
+
+
+def triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
+    """Classical hypergraph triple test over the disk family: the minimized
+    witness of the lexicographically first failing vertex triple, or None if
+    none fails (then the graph is Helly).
+
+    For a vertex triple {a,b,c} it intersects all disks containing at least
+    two of them; per center v the smallest such disk has radius
+    median(d(v,a), d(v,b), d(v,c)).
+    """
+    n = dm.n
+    dist = dm.dist
+    rows = dm._rows
+    ball = dm.ball_bits
+    for a in range(n):
+        da_np = dist[a]
+        da = rows[a]
+        for b in range(a + 1, n):
+            db_np = dist[b]
+            db = rows[b]
+            dab = da[b]
+            hi_ab = np.maximum(da_np, db_np)
+            lo_ab = np.minimum(da_np, db_np)
+            sum_ab = da_np.astype(np.int32) + db_np
+            for c in range(b + 1, n):
+                dac = da[c]
+                dbc = db[c]
+                dc_np = dist[c]
+                # med3 = sum - max - min, computed row-wise
+                med = (
+                    sum_ab
+                    + dc_np
+                    - np.maximum(hi_ab, dc_np)
+                    - np.minimum(lo_ab, dc_np)
+                )
+                m = (
+                    ball(a, min(dab, dac))
+                    & ball(b, min(dab, dbc))
+                    & ball(c, min(dac, dbc))
+                )
+                while m:
+                    low = m & -m
+                    x = low.bit_length() - 1
+                    m ^= low
+                    if (dist[x] <= med).all():
+                        break
+                else:
+                    return _minimize_empty_family(dm, med)
+    return None
+
+
+def _minimize_empty_family(
+    dm: DistanceMatrix, radii: np.ndarray
+) -> tuple[DiskConstraint, ...]:
+    """Greedily drop disks from {D(v, radii[v])} while the intersection stays
+    empty.  The input family is pairwise-intersecting by construction (each
+    radius is a median of distances to one vertex triple), and subfamilies
+    inherit that."""
+    n = dm.n
+    keep = list(range(n))
+    masks = {v: dm.ball_bits(v, int(radii[v])) for v in keep}
+
+    def empty(ids: Sequence[int]) -> bool:
+        m = (1 << n) - 1
+        for v in ids:
+            m &= masks[v]
+            if not m:
+                return True
+        return not m
+
+    for v in list(keep):
+        trial = [u for u in keep if u != v]
+        if trial and empty(trial):
+            keep = trial
+    return tuple(DiskConstraint(v, int(radii[v])) for v in keep)
 
 
 def box_extremal_functions(

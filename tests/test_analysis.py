@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from hellymetric import king_grid
+from hellymetric import cycle_graph, helly, king_grid
 from hellymetric.report import build_analysis, verify_claims
 
 # (module, function) pairs whose calls are counted
@@ -64,3 +64,22 @@ def test_build_analysis_scans_each_graph_once(calls, p: int, q: int) -> None:
     scanned = [gid for name, gid, _ in calls if name == "hyperbolicity"]
     # the input graph, plus its hull when the hull phase ran
     assert len(scanned) == (1 if "skipped" in report.hull else 2)
+
+
+@pytest.mark.parametrize("g", [king_grid(3, 3), cycle_graph(5)], ids=["king_3x3", "C5"])
+def test_build_analysis_checks_each_interval_condition_once(monkeypatch, g) -> None:
+    """is_helly and the pseudo-modular verdict share one (a)/(b') pass."""
+    kernel = helly._interval_violation
+    graphs: dict[int, object] = {}  # keeps every counted graph alive
+    runs: Counter[tuple[int, int]] = Counter()
+
+    def counted(h, dm, gap):
+        graphs[id(h)] = h
+        runs[(id(h), gap)] += 1
+        return kernel(h, dm, gap)
+
+    monkeypatch.setattr(helly, "_interval_violation", counted)
+    report = build_analysis(g)
+    assert report.is_pseudo_modular == report.is_helly
+    assert runs[(id(g), 1)] == 1
+    assert max(runs.values()) == 1

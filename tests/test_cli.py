@@ -190,15 +190,6 @@ def assert_internal_inconsistency(capsys) -> None:
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_analyze_exits_2_when_helly_deciders_disagree(tmp_path, capsys, monkeypatch) -> None:
-    import hellymetric.helly as helly
-
-    path = write_graph(tmp_path, "c5.edges", cycle_graph(5))
-    monkeypatch.setattr(helly, "_triple_witness", lambda dm: None)
-    assert main(["analyze", path]) == 2
-    assert_internal_inconsistency(capsys)
-
-
 def test_analyze_exits_2_when_routes_disagree(tmp_path, capsys, monkeypatch) -> None:
     import hellymetric.report as report
 
@@ -375,6 +366,29 @@ def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv("HELLYMETRIC_THREADS", "not-a-number")
     assert main(["analyze", path, "--no-hull"]) == 0
     capsys.readouterr()
+
+
+def test_analyze_reads_threads_environment_variable_on_each_call(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import hellymetric.detect as detect
+
+    path = write_graph(tmp_path, "king45.edges", king_grid(4, 5))
+    scan = detect.hyperbolicity
+    seen: list[int] = []
+
+    def recording(g, **kwargs):
+        seen.append(kwargs["threads"])
+        return scan(g, **kwargs)
+
+    monkeypatch.setattr(detect, "hyperbolicity", recording)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HELLYMETRIC_THREADS", threads)
+        assert main(["analyze", path, "--no-hull"]) == 0
+        capsys.readouterr()
+    assert seen == [1, 2]
+    assert main(["analyze", path, "--no-hull", "--threads", "1"]) == 0
+    assert seen == [1, 2, 1]
 
 
 def test_verify_honours_threads_environment_variable(

@@ -1,35 +1,53 @@
-"""The local Helly decider against the triple scan that builds its witness.
+"""The local Helly decider against the vertex-triple test in ``oracles``.
 
-``is_helly`` decides with four local conditions and runs the triple scan
-only on input it already rejected.  These tests keep the two independent
-deciders equal on three corpora, break each condition on its own with one
-small named graph, and run the decider on king grids too large for the
-triple scan.
+``is_helly`` decides with four local conditions and answers a "no" with the
+disk family of the first one that fails.  These tests keep the local
+decider equal to the independent triple test on four corpora, check every
+"no" as a certificate, break each condition on its own with one small named
+graph, and run the decider on king grids too large for the triple test.
 """
 from __future__ import annotations
 
 import pytest
 
-from hellymetric import Graph, apsp, build_obstruction, cycle_graph, is_helly, king_grid
-from hellymetric import helly
+from oracles import triple_witness
+
+from hellymetric import (
+    DiskConstraint,
+    Graph,
+    apsp,
+    build_obstruction,
+    cycle_graph,
+    is_helly,
+    king_grid,
+)
 from hellymetric.graphs import random_connected_graph
 from hellymetric.helly import (
-    _LOCAL_CONDITIONS,
     _clique_helly_fails,
     _quadrangle_violation,
     _triangle_violation,
-    _triple_witness,
+    _undominated_c4,
+)
+
+# (a), (b'), (c), (d) in the order is_helly checks them
+CONDITIONS = (
+    _triangle_violation,
+    _quadrangle_violation,
+    _clique_helly_fails,
     _undominated_c4,
 )
 
 
 def local_says_helly(g: Graph) -> bool:
-    dm = apsp(g)
-    return not any(fails(g, dm) for fails in _LOCAL_CONDITIONS)
+    """The local verdict, with a "no" checked as a certificate."""
+    chk = is_helly(g)
+    if not chk:
+        assert_certificate(g, chk.counterexample)
+    return bool(chk)
 
 
 def triple_says_helly(g: Graph) -> bool:
-    return _triple_witness(apsp(g)) is None
+    return triple_witness(apsp(g)) is None
 
 
 def ladder_shapes() -> list[Graph]:
@@ -58,6 +76,12 @@ def assert_certificate(g: Graph, disks) -> None:
 # ---------------------------------------------------------------------------
 # differential: local decision == "the triple scan finds no failing triple"
 # ---------------------------------------------------------------------------
+
+def test_local_matches_triple_scan_on_atlas(atlas_graphs) -> None:
+    verdicts = [local_says_helly(g) for g in atlas_graphs]
+    assert verdicts == [triple_says_helly(g) for g in atlas_graphs]
+    assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
 
 def test_local_matches_triple_scan_on_hull_corpus(hull_corpus) -> None:
     for g in hull_corpus:
@@ -91,6 +115,22 @@ def octahedron() -> Graph:
     return Graph(6, [(a, b) for a in range(6) for b in range(a + 1, 6) if b != a + 1 or a % 2])
 
 
+def unit_disks(*centers: int) -> tuple[DiskConstraint, ...]:
+    return tuple(DiskConstraint(v, 1) for v in centers)
+
+
+# the failing condition's disk family, which is_helly returns as its witness
+WITNESS = {
+    # u = 3 is at distance 2 from both ends of the edge 0-1
+    "C5": (DiskConstraint(3, 1),) + unit_disks(0, 1),
+    # u = 4 is at distance 2 from both ends of the path 0-1-2
+    "C6": (DiskConstraint(4, 1),) + unit_disks(0, 2),
+    # the extended triangle of any triangle is all of K2,2,2
+    "octahedron": unit_disks(0, 1, 2, 3, 4, 5),
+    "C4": unit_disks(0, 1, 2, 3),
+}
+
+
 @pytest.mark.parametrize(
     "name,g,broken",
     [
@@ -102,19 +142,15 @@ def octahedron() -> Graph:
 )
 def test_each_condition_alone_rejects(name, g, broken) -> None:
     dm = apsp(g)
-    assert [bool(fails(g, dm)) for fails in _LOCAL_CONDITIONS] == [
-        fails is broken for fails in _LOCAL_CONDITIONS
+    assert [violation(g, dm) is not None for violation in CONDITIONS] == [
+        violation is broken for violation in CONDITIONS
     ], name
     chk = is_helly(g)
     assert not chk
-    assert chk.counterexample == _triple_witness(dm)
+    assert chk.counterexample == WITNESS[name]
+    assert chk.pseudo_modular == (broken in (_clique_helly_fails, _undominated_c4))
     assert_certificate(g, chk.counterexample)
-
-
-def test_disagreeing_deciders_raise(monkeypatch) -> None:
-    monkeypatch.setattr(helly, "_triple_witness", lambda dm: None)
-    with pytest.raises(RuntimeError, match="disagree"):
-        is_helly(cycle_graph(5))
+    assert_certificate(g, chk.counterexample)
 
 
 # ---------------------------------------------------------------------------

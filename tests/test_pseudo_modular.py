@@ -23,10 +23,12 @@ def three_sun() -> Graph:
 
 
 def agree(g: Graph) -> bool:
-    """Assert both deciders agree on g, checking a local "no"; the verdict."""
+    """Assert both deciders agree on g, and with the flag is_helly reports,
+    checking a local "no"; the verdict."""
     dm = apsp(g)
     local = is_pseudo_modular(g, dm=dm)
     assert bool(local) == bool(pseudo_modular_bruteforce(g, dm=dm)), g.edges()
+    assert is_helly(g, dm=dm).pseudo_modular == bool(local), g.edges()
     if not local:
         assert local.counterexample is not None and len(local.counterexample) == 3
         assert_certificate(g, local.counterexample)
