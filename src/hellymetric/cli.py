@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from .detect import (
+    InternalInconsistencyError,
     MaterializeError,
     NotHellyError,
     ObstructionWitness,
@@ -38,7 +39,7 @@ from .graphs import (
     random_connected_graph,
     to_edge_list,
 )
-from .helly import InternalInconsistencyError, MedianSearchError, is_helly
+from .helly import MedianSearchError, is_helly
 from .hull import HullBudgetError, hull
 from .report import (
     build_analysis,

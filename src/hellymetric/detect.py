@@ -42,7 +42,6 @@ from .halfint import HalfInt
 from .helly import (
     DiskConstraint,
     HellyCheck,
-    InternalInconsistencyError,
     find_median,
     is_helly,
     pick_common_vertex,
@@ -57,6 +56,10 @@ from .hyperbolicity import (
 
 class NotHellyError(Exception):
     """The operation requires a Helly input graph."""
+
+
+class InternalInconsistencyError(RuntimeError):
+    """Two routes that must agree produced different answers."""
 
 
 class MaterializeError(Exception):

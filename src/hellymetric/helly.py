@@ -51,10 +51,6 @@ from .graphs import Graph
 from .halfint import HalfInt
 
 
-class InternalInconsistencyError(RuntimeError):
-    """Two routes that must agree produced different answers."""
-
-
 class MedianSearchError(Exception):
     """No median vertex/triangle exists (input is not pseudo-modular)."""
 
