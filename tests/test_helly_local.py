@@ -150,7 +150,6 @@ def test_each_condition_alone_rejects(name, g, broken) -> None:
     assert chk.counterexample == WITNESS[name]
     assert chk.pseudo_modular == (broken in (_clique_helly_fails, _undominated_c4))
     assert_certificate(g, chk.counterexample)
-    assert_certificate(g, chk.counterexample)
 
 
 # ---------------------------------------------------------------------------
