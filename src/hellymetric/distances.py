@@ -74,8 +74,18 @@ class DistanceMatrix:
 
 
 def apsp(g: Graph) -> DistanceMatrix:
-    """Exact BFS distances for all pairs; rejects disconnected input."""
+    """Exact BFS distances for all pairs; rejects disconnected input.
+
+    Distances are stored as int16, so a graph whose diameter could exceed
+    its maximum (n - 1 > 32,767) is refused before the n^2 cells are
+    allocated.
+    """
     n = g.n
+    if n - 1 > np.iinfo(np.int16).max:
+        raise GraphError(
+            f"graph has {n} vertices; the int16 distance matrix holds "
+            f"at most {np.iinfo(np.int16).max + 1}"
+        )
     dist = np.full((n, n), -1, dtype=np.int16)
     adj = g.adj_bits
     for src in range(n):

@@ -358,6 +358,17 @@ def test_disconnected_file_is_an_input_error(tmp_path, capsys) -> None:
     assert "not connected" in capsys.readouterr().err
 
 
+def test_oversize_file_is_an_input_error(tmp_path, capsys) -> None:
+    # the path on 32,769 vertices has a distance past the int16 matrix
+    p = tmp_path / "path.edges"
+    p.write_text("".join(f"{v} {v + 1}\n" for v in range(32_768)), encoding="utf-8")
+    assert main(["analyze", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
     path = write_graph(tmp_path, "king33.edges", king_grid(3, 3))
     monkeypatch.setenv("HELLYMETRIC_THREADS", "4")

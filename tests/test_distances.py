@@ -16,7 +16,11 @@ from hellymetric import (
     king_grid,
     path_graph,
 )
-from hellymetric.graphs import DisconnectedGraphError, random_connected_graph
+from hellymetric.graphs import (
+    DisconnectedGraphError,
+    GraphError,
+    random_connected_graph,
+)
 
 
 def test_cycle_eccentricities_and_diameter() -> None:
@@ -47,6 +51,13 @@ def test_disconnected_input_is_rejected() -> None:
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
         apsp(g)
+
+
+def test_apsp_refuses_distances_past_int16_before_allocating() -> None:
+    # a path on 32,769 vertices has distance 32,768, one past int16; refusing
+    # it up front spares the 2 GB matrix and the BFS from every source
+    with pytest.raises(GraphError, match="32769 vertices"):
+        apsp(path_graph(32_769))
 
 
 def test_power_of_c5_is_complete() -> None:
