@@ -7,6 +7,20 @@ its delta is at most min(d(u,v), d(w,x)), so pairs below the running best can
 be pruned without losing any maximizer or tie.  Ties are kept so the reported
 witness is the lexicographically smallest sorted maximizing quadruple, which
 makes the result independent of batching and worker count.
+
+Interval thinness is batched per source x.  With A[y, u] true when u lies
+on a shortest (x, y)-path, two vertices u, v of the level L_k(x) lie in a
+common slice iff some y has A[y, u] and A[y, v], that is iff the entry
+(u, v) of A_k^T A_k is positive, where A_k keeps the columns of L_k and the
+rows y with d(x, y) > k (no nearer y holds two level-k vertices).  The
+product is taken in float32; it is exact because each entry counts at most
+n < 2^24 endpoints, and ``apsp`` refuses graphs far smaller than that.  A
+source is skipped when 2 floor(ecc(x)/2) cannot beat the running best, and a
+level when neither 2 min(k, ecc(x) - k) nor its largest internal distance
+can.  Only the first source whose levels reach tau is rescanned pair by
+pair for the witness: it has a hit with y > x, because I(x, y) = I(y, x)
+with mirrored slices, so a hit with y < x would have reached tau at the
+earlier source y.
 """
 from __future__ import annotations
 
@@ -233,29 +247,65 @@ def interval_slice(
 def interval_thinness(
     g: Graph, *, dm: DistanceMatrix | None = None
 ) -> tuple[int, ThinnessWitness]:
-    """Largest diameter of any slice of any interval, with a witness."""
+    """Largest diameter of any slice of any interval, with a witness.
+
+    The witness names the lexicographically first endpoints (x, y), x < y,
+    whose interval has a slice of diameter tau, that slice's index k = d(x, u),
+    and the row-major first pair u < v of that slice at distance tau.  When
+    tau is 0 the witness is ((0, 0), 0, (0, 0), 0).
+    """
     dm = dm or apsp(g)
-    dist = dm.dist
-    n = g.n
-    best = 0
-    witness = ThinnessWitness((0, 0), 0, (0, 0), 0)
-    for x in range(n):
-        dx = dist[x]
-        for y in range(x + 1, n):
-            dxy = int(dx[y])
-            ids = np.nonzero(dx + dist[y] == dxy)[0]
-            if ids.size <= 2:
+    dist = dm.dist.astype(np.int32)  # sums of two int16 distances may not fit
+    best, first = 0, -1
+    for x in range(g.n):
+        ecc = int(dm.ecc[x])
+        # two level-k vertices of I(x, y) are at most 2 min(k, ecc - k) apart
+        if 2 * (ecc // 2) <= best:
+            continue
+        order = np.argsort(dist[x], kind="stable")
+        ds = dist[x, order]
+        d = dist[np.ix_(order, order)]
+        # level k of x occupies positions [starts[k], starts[k + 1])
+        starts = np.searchsorted(ds, np.arange(ecc + 1))
+        member = None
+        for k in range(1, ecc):
+            lo, hi = int(starts[k]), int(starts[k + 1])
+            if hi - lo < 2 or 2 * min(k, ecc - k) <= best:
                 continue
-            ks = dx[ids]
-            sub = dist[np.ix_(ids, ids)]
-            same = ks[:, None] == ks[None, :]
-            vals = np.where(same, sub, -1)
-            mx = int(vals.max(initial=-1))
+            level = d[lo:hi, lo:hi]
+            if int(level.max()) <= best:
+                continue
+            if member is None:
+                # member[y, u]: u lies on a shortest (x, y)-path
+                member = (ds[:, None] == ds[None, :] + d).astype(np.float32)
+            # only endpoints y beyond level k can hold two level-k vertices
+            a = member[hi:, lo:hi]
+            shared = a.T @ a > 0
+            mx = int(np.where(shared, level, -1).max())
             if mx > best:
-                pos = np.argwhere(vals == mx)[0]
-                u, v = int(ids[pos[0]]), int(ids[pos[1]])
-                if u > v:
-                    u, v = v, u
-                best = mx
-                witness = ThinnessWitness((x, y), int(dx[u]), (u, v), mx)
-    return best, witness
+                best, first = mx, x
+    if best == 0:
+        return 0, ThinnessWitness((0, 0), 0, (0, 0), 0)
+    return best, _first_witness(dist, first, best)
+
+
+def _first_witness(dist: np.ndarray, x: int, tau: int) -> ThinnessWitness:
+    """The witness from the first y > x whose interval I(x, y) reaches tau.
+
+    Only called for the first source whose levels reached tau; a hit there
+    with y < x would have reached tau at the earlier source y, since I(x, y)
+    and I(y, x) are the same set with mirrored slices.
+    """
+    dx = dist[x]
+    for y in range(x + 1, dist.shape[0]):
+        ids = np.nonzero(dx + dist[y] == dx[y])[0]
+        if ids.size <= 2:
+            continue
+        ks = dx[ids]
+        vals = np.where(ks[:, None] == ks[None, :], dist[np.ix_(ids, ids)], -1)
+        hits = np.argwhere(vals == tau)
+        if hits.size:
+            # vals is symmetric with a zero diagonal, so the first hit has u < v
+            u, v = int(ids[hits[0, 0]]), int(ids[hits[0, 1]])
+            return ThinnessWitness((x, y), int(dx[u]), (u, v), tau)
+    raise AssertionError(f"source {x} reached thinness {tau} but no y > x does")

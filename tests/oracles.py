@@ -7,7 +7,8 @@ package's distance matrix: ``helly_bruteforce`` and
 ``pseudo_modular_bruteforce`` enumerate its distinct disks
 (``distinct_disks``, size-capped by ``EnumerationBudgetError``),
 ``triple_witness`` runs the vertex-triple test on its distance rows and
-disk masks, ``box_extremal_functions`` enumerates the hull's candidate box
+disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
+``box_extremal_functions`` enumerates the hull's candidate box
 under the package's own budget pre-check, and ``find_isometric_embedding``
 searches its distance rows.
 """
@@ -27,6 +28,7 @@ from hellymetric import (
     DistanceMatrix,
     Graph,
     PseudoModularCheck,
+    ThinnessWitness,
     apsp,
 )
 from hellymetric.hull import HullBudgetError, _bfs_vertex_order, _resolve_budget
@@ -334,6 +336,40 @@ def _minimize_empty_family(
         if trial and empty(trial):
             keep = trial
     return tuple(DiskConstraint(v, int(radii[v])) for v in keep)
+
+
+def pair_loop_thinness(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[int, ThinnessWitness]:
+    """Interval thinness by the literal loop over endpoint pairs x < y.
+
+    One numpy pass per pair; a pair whose slices beat the running best sets
+    the witness, so it names the first pair reaching the maximum.
+    """
+    dist = dm.dist
+    n = g.n
+    best = 0
+    witness = ThinnessWitness((0, 0), 0, (0, 0), 0)
+    for x in range(n):
+        dx = dist[x]
+        for y in range(x + 1, n):
+            dxy = int(dx[y])
+            ids = np.nonzero(dx + dist[y] == dxy)[0]
+            if ids.size <= 2:
+                continue
+            ks = dx[ids]
+            sub = dist[np.ix_(ids, ids)]
+            same = ks[:, None] == ks[None, :]
+            vals = np.where(same, sub, -1)
+            mx = int(vals.max(initial=-1))
+            if mx > best:
+                pos = np.argwhere(vals == mx)[0]
+                u, v = int(ids[pos[0]]), int(ids[pos[1]])
+                if u > v:
+                    u, v = v, u
+                best = mx
+                witness = ThinnessWitness((x, y), int(dx[u]), (u, v), mx)
+    return best, witness
 
 
 def box_extremal_functions(

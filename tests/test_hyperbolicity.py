@@ -235,8 +235,14 @@ def test_hyperbolicity_matches_bruteforce(n: int, prob: float, seed: int) -> Non
 )
 def test_thinness_matches_bruteforce(n: int, prob: float, seed: int) -> None:
     g = random_connected_graph(n, prob, seed)
-    value, _ = interval_thinness(g)
+    dm = apsp(g)
+    value, w = interval_thinness(g, dm=dm)
     assert value == brute_thinness(g)
+    # the witness certifies the value: a pair of the named slice at distance tau
+    assert set(w.pair) <= interval_slice(g, *w.endpoints, w.slice_index, dm=dm)
+    assert dm.d(*w.pair) == w.distance == value
+    if value > 0:
+        assert w.endpoints[0] < w.endpoints[1]
 
 
 @settings(max_examples=30, deadline=None)
