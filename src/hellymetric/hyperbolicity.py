@@ -6,7 +6,10 @@ quadruple visited at its largest-sum pairing (d(u,v)+d(w,x) maximal), twice
 its delta is at most min(d(u,v), d(w,x)), so pairs below the running best can
 be pruned without losing any maximizer or tie.  Ties are kept so the reported
 witness is the lexicographically smallest sorted maximizing quadruple, which
-makes the result independent of batching and worker count.
+makes the result independent of batching and worker count.  Each chunk of
+64 outer pairs is tiled over its inner pairs in blocks of ``_TILE`` columns,
+so its temporaries are at most 64 x ``_TILE`` integers whatever the graph
+size; every tile merges its lex-min tie under the lock as a whole chunk did.
 
 Interval thinness is batched per source x.  With A[y, u] true when u lies
 on a shortest (x, y)-path, two vertices u, v of the level L_k(x) lie in a
@@ -35,6 +38,7 @@ from .graphs import Graph
 from .halfint import HalfInt
 
 _CHUNK = 64
+_TILE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -173,14 +177,18 @@ def hyperbolicity(
             return
         jmax = int(np.searchsorted(-d_arr, -best_now, side="right"))
         jmax = min(max(jmax, 1), i1)
+        for j0 in range(0, jmax, _TILE):
+            scan_tile(i0, i1, j0, min(j0 + _TILE, jmax))
+
+    def scan_tile(i0: int, i1: int, j0: int, j1: int) -> None:
         U, V, DO = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
-        W, X = u_arr[:jmax], v_arr[:jmax]
-        s1 = DO[:, None] + d_arr[None, :jmax]
+        W, X = u_arr[j0:j1], v_arr[j0:j1]
+        s1 = DO[:, None] + d_arr[None, j0:j1]
         s2 = d32[np.ix_(U, W)] + d32[np.ix_(V, X)]
         s3 = d32[np.ix_(U, X)] + d32[np.ix_(V, W)]
         gap = s1 - np.maximum(s2, s3)
         # only pairings with inner index <= outer index are this visit's duty
-        cols = np.arange(jmax)[None, :]
+        cols = np.arange(j0, j1)[None, :]
         rows = np.arange(i0, i1)[:, None]
         gap = np.where(cols <= rows, gap, -1)
         mx = int(gap.max(initial=-1))
