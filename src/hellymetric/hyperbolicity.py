@@ -1,15 +1,24 @@
 """Exact four-point hyperbolicity, intervals, slices, and interval thinness.
 
-The hyperbolicity scan is the literal definition over all vertex quadruples,
-organized as a pair-of-pairs sweep in decreasing pair-distance order.  For a
-quadruple visited at its largest-sum pairing (d(u,v)+d(w,x) maximal), twice
-its delta is at most min(d(u,v), d(w,x)), so pairs below the running best can
-be pruned without losing any maximizer or tie.  Ties are kept so the reported
-witness is the lexicographically smallest sorted maximizing quadruple, which
-makes the result independent of batching and worker count.  Each chunk of
-64 outer pairs is tiled over its inner pairs in blocks of ``_TILE`` columns,
-so its temporaries are at most 64 x ``_TILE`` integers whatever the graph
-size; every tile merges its lex-min tie under the lock as a whole chunk did.
+The hyperbolicity scan is a pair-of-pairs sweep, in decreasing pair-distance
+order, over the far-apart pairs only.  A pair (u, v) is far-apart when no
+neighbour u' of u has d(u', v) > d(u, v) and no neighbour v' of v has
+d(v', u) > d(u, v).  Some maximizing quadruple has its largest-sum pairing
+made of two far-apart pairs (Soto, 2011; Cohen, Coudert, Lancin, "On
+computing the Gromov hyperbolicity", 2015): if u has such a neighbour u',
+replacing u by u' raises the largest sum by one and each other sum by at most
+one, so the gap does not shrink, and since the largest sum grows the
+replacements end at far-apart pairs.  For a quadruple visited at its
+largest-sum pairing (d(u,v)+d(w,x) maximal), twice its delta is at most
+min(d(u,v), d(w,x)), so pairs below the running best can be pruned without
+losing any maximizer or tie.  Ties are kept so the reported witness is the
+lexicographically smallest sorted maximizing quadruple whose largest-sum
+pairing is two far-apart pairs, which makes the result independent of
+batching and worker count; it need not be the smallest maximizer over all
+quadruples.  Each chunk of 64 outer pairs is tiled over its inner pairs in
+blocks of ``_TILE`` columns, so its temporaries are at most 64 x ``_TILE``
+integers whatever the graph size; every tile merges its lex-min tie under
+the lock as a whole chunk did.
 
 Interval thinness is batched per source x.  With A[y, u] true when u lies
 on a shortest (x, y)-path, two vertices u, v of the level L_k(x) lie in a
@@ -147,18 +156,31 @@ def _biconnected_components(g: Graph) -> list[set[int]]:
     return comps
 
 
+def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
+    """far[u, v]: no neighbour of u is farther from v, nor of v from u."""
+    # reach[u, v]: the largest distance from a neighbour of u to v
+    reach = np.empty_like(dist)
+    for u, nbrs in enumerate(g.neighbors):
+        reach[u] = dist[list(nbrs)].max(axis=0)
+    return (reach <= dist) & (reach.T <= dist)
+
+
 def hyperbolicity(
     g: Graph, *, dm: DistanceMatrix | None = None, threads: int = 1
 ) -> tuple[HalfInt, HyperbolicityWitness]:
-    """Exact maximum quadruple delta with a lex-min maximizing witness."""
+    """Exact maximum quadruple delta, scanning far-apart pairs only.
+
+    The witness is the lexicographically smallest sorted maximizing quadruple
+    whose largest-sum pairing is two far-apart pairs (see the module
+    docstring); with delta 0 it is (0, 0, 0, 0).
+    """
     dm = dm or apsp(g)
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
     if g.n < 4 or is_block_graph(g):
         return HalfInt(0), zero_witness
 
     dist = dm.dist
-    n = g.n
-    iu, iv = np.triu_indices(n, k=1)
+    iu, iv = np.nonzero(np.triu(_far_apart(g, dist), 1))
     duv = dist[iu, iv].astype(np.int32)
     order = np.lexsort((iv, iu, -duv))
     u_arr = iu[order].astype(np.int32)

@@ -27,9 +27,9 @@ def test_tiny_tiles_match_the_untiled_scan(hull_corpus, monkeypatch, threads) ->
 
 
 def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
-    # Untiled, the last chunks scanned here hold 64 x ~5,000 int32 per
-    # temporary and the scan peaks near 9.4 MB.  A 1,024-column tile keeps
-    # each temporary at 256 KB, leaving the sorted pair arrays as the bulk.
+    # Untiled, the last chunks scanned here hold 64 x ~5,500 int32 per
+    # temporary (the far-apart pairs at distance >= 4) and the scan peaks
+    # near 7.8 MB.  A 1,024-column tile keeps each temporary at 256 KB.
     g = random_connected_graph(300, 0.028, 1)
     dm = apsp(g)
     monkeypatch.setattr(scan_module, "_TILE", 1 << 10)
