@@ -62,8 +62,7 @@ def _default_threads() -> int:
 
 def _read_graph(path: str) -> Graph:
     text = Path(path).read_text(encoding="utf-8")
-    g = load_graph(text)
-    return Graph(g.n, g.edges(), name=Path(path).stem)
+    return load_graph(text, name=Path(path).stem)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -103,12 +103,13 @@ class Graph:
 # Edge-list I/O
 # ---------------------------------------------------------------------------
 
-def load_graph(text: str, *, require_connected: bool = True) -> Graph:
+def load_graph(text: str, *, require_connected: bool = True, name: str = "") -> Graph:
     """Parse an edge-list document: one "u v" pair per line, '#' comments.
 
     Vertices are 0..max-id.  Duplicate edges collapse; self-loops, non-integer
     tokens and empty edge sets are errors, as is a disconnected graph when
-    ``require_connected`` (the default for analysis inputs).
+    ``require_connected`` (the default for analysis inputs).  The graph is
+    called ``name``.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
@@ -131,7 +132,7 @@ def load_graph(text: str, *, require_connected: bool = True) -> Graph:
         max_id = max(max_id, u, v)
     if not edges:
         raise GraphError("empty edge set")
-    g = Graph(max_id + 1, edges)
+    g = Graph(max_id + 1, edges, name=name)
     if require_connected and not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")
     return g

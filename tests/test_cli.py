@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 
 from hellymetric import (
+    Graph,
     InternalInconsistencyError,
     build_obstruction,
     cycle_graph,
@@ -11,7 +12,7 @@ from hellymetric import (
     load_graph,
     to_edge_list,
 )
-from hellymetric.cli import main
+from hellymetric.cli import _read_graph, main
 from hellymetric.report import CLAIM_IDS
 
 
@@ -367,6 +368,24 @@ def test_oversize_file_is_an_input_error(tmp_path, capsys) -> None:
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_read_graph_builds_the_graph_once(tmp_path, monkeypatch) -> None:
+    # each Graph holds one bitmask per vertex, so a second copy doubles the
+    # memory an oversize input takes before apsp refuses it
+    path = write_graph(tmp_path, "king_3x4.edges", king_grid(3, 4))
+    built: list[int] = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs) -> None:
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    g = _read_graph(path)
+    assert len(built) == 1
+    assert g.name == "king_3x4"
+    assert sorted(g.edges()) == sorted(king_grid(3, 4).edges())
 
 
 def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
