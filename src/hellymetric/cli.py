@@ -3,7 +3,8 @@
 Exit codes, used consistently by every subcommand:
 
 * 0 — success (analysis clean, witness found, all claims pass, ...)
-* 1 — input error (unreadable file, malformed edge list, bad parameters)
+* 1 — input error (unreadable file, malformed edge list, bad parameters,
+  command-line argument errors; ``--help`` exits 0)
 * 2 — internal inconsistency (routes that must agree disagreed, claim FAIL)
 * 3 — certified absence (detect found no witness on a Helly input)
 * 4 — precondition warning (non-Helly input, enumeration budget exceeded)
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .detect import (
     InternalInconsistencyError,
@@ -58,6 +60,24 @@ def _default_threads() -> int:
         return max(1, int(os.environ.get(_THREADS_ENV, "1")))
     except ValueError:
         return 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument error is a bad parameter: exit 1, not argparse's 2."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _read_graph(path: str) -> Graph:
@@ -355,7 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; defaults read from the
     environment are resolved by each command, not here."""
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hellymetric",
         description="Exact hyperbolicity, obstruction, and hull analysis "
         "for Helly graphs (edge-list inputs).",
@@ -365,7 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="run every analysis phase on a graph")
     pa.add_argument("path", help="edge-list file")
     pa.add_argument(
-        "--threads", type=int, default=None, help=f"default: ${_THREADS_ENV} or 1"
+        "--threads",
+        type=_positive_int,
+        default=None,
+        help=f"at least 1; default: ${_THREADS_ENV} or 1",
     )
     pa.add_argument("--json", default=None, help="write a JSON report here ('-' for stdout)")
     pa.add_argument("--no-hull", action="store_true", help="skip the hull phase")

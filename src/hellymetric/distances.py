@@ -28,7 +28,7 @@ class DistanceMatrix:
         self.diam = int(self.ecc.max())
         self.rad = int(self.ecc.min())
         # plain python lists give much faster scalar access than ndarray items
-        self._rows: list[list[int]] = [list(map(int, row)) for row in dist]
+        self._rows: list[list[int]] = dist.tolist()
         self._balls: list[dict[int, int]] = [dict() for _ in range(self.n)]
         self._power_rows: dict[int, list[int]] = {}
 

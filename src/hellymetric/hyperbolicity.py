@@ -1,24 +1,37 @@
 """Exact four-point hyperbolicity, intervals, slices, and interval thinness.
 
-The hyperbolicity scan is a pair-of-pairs sweep, in decreasing pair-distance
-order, over the far-apart pairs only.  A pair (u, v) is far-apart when no
-neighbour u' of u has d(u', v) > d(u, v) and no neighbour v' of v has
-d(v', u) > d(u, v).  Some maximizing quadruple has its largest-sum pairing
-made of two far-apart pairs (Soto, 2011; Cohen, Coudert, Lancin, "On
-computing the Gromov hyperbolicity", 2015): if u has such a neighbour u',
-replacing u by u' raises the largest sum by one and each other sum by at most
-one, so the gap does not shrink, and since the largest sum grows the
-replacements end at far-apart pairs.  For a quadruple visited at its
-largest-sum pairing (d(u,v)+d(w,x) maximal), twice its delta is at most
-min(d(u,v), d(w,x)), so pairs below the running best can be pruned without
-losing any maximizer or tie.  Ties are kept so the reported witness is the
-lexicographically smallest sorted maximizing quadruple whose largest-sum
-pairing is two far-apart pairs, which makes the result independent of
-batching and worker count; it need not be the smallest maximizer over all
-quadruples.  Each chunk of 64 outer pairs is tiled over its inner pairs in
-blocks of ``_TILE`` columns, so its temporaries are at most 64 x ``_TILE``
-integers whatever the graph size; every tile merges its lex-min tie under
-the lock as a whole chunk did.
+The hyperbolicity scan pairs far-apart pairs only.  A pair (u, v) is
+far-apart when no neighbour u' of u has d(u', v) > d(u, v) and no neighbour
+v' of v has d(v', u) > d(u, v).  Some maximizing quadruple has its
+largest-sum pairing made of two far-apart pairs (Soto, 2011; Cohen, Coudert,
+Lancin, "On computing the Gromov hyperbolicity", 2015): if u has such a
+neighbour u', replacing u by u' raises the largest sum by one and each other
+sum by at most one, so the gap does not shrink, and since the largest sum
+grows the replacements end at far-apart pairs.  For a quadruple visited at
+its largest-sum pairing (d(u,v)+d(w,x) maximal), twice its delta is at most
+min(d(u,v), d(w,x)).
+
+The scan runs in two passes over the far-apart pairs.  The value pass sweeps
+them in decreasing distance order and keeps only the running maximum gap:
+a pair at distance <= best cannot lie in a larger gap, so the sweep stops at
+the first chunk of 64 outer pairs whose first distance is <= best, and each
+chunk pairs only with the pairs above best.  It runs its chunks on
+``threads`` workers, which share nothing but that maximum.  The witness pass
+(B = the value found) keeps the pairs at distance >= B, sorts them by
+(u, v), and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
+pairs whose first vertex is > a, and the walk stops at the first a with a
+gap of B, returning the lexicographically smallest sorted quadruple among
+that a's hits.  This is the lexicographically smallest sorted maximizer
+whose largest-sum pairing is two far-apart pairs: a gap of B > 0 makes
+d(u,v)+d(w,x) the strict largest sum, so the hits are exactly those
+maximizers visited at that pairing, and the smallest vertex of such a
+quadruple is the first vertex of one of its two pairs while the other pair
+lies wholly above it, so no maximizer has a smaller first vertex than the
+first a with a hit, and each one whose first vertex is a is a hit at a.  The
+witness is independent of ``threads``; it need not be the smallest maximizer
+over all quadruples.  Both passes tile their inner pairs in blocks of
+``_TILE`` columns, so their temporaries are at most 64 x ``_TILE`` integers
+whatever the graph size.
 
 Interval thinness is batched per source x.  With A[y, u] true when u lies
 on a shortest (x, y)-path, two vertices u, v of the level L_k(x) lie in a
@@ -165,12 +178,26 @@ def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
     return (reach <= dist) & (reach.T <= dist)
 
 
+def _gaps(
+    d32: np.ndarray,
+    U: np.ndarray, V: np.ndarray, DUV: np.ndarray,
+    W: np.ndarray, X: np.ndarray, DWX: np.ndarray,
+) -> np.ndarray:
+    """gap[i, j] = d(U_i,V_i) + d(W_j,X_j) minus the larger other pairing sum."""
+    U, V = U[:, None], V[:, None]
+    s2 = d32[U, W] + d32[V, X]
+    s3 = d32[U, X] + d32[V, W]
+    return DUV[:, None] + DWX - np.maximum(s2, s3)
+
+
 def hyperbolicity(
     g: Graph, *, dm: DistanceMatrix | None = None, threads: int = 1
 ) -> tuple[HalfInt, HyperbolicityWitness]:
     """Exact maximum quadruple delta, scanning far-apart pairs only.
 
-    The witness is the lexicographically smallest sorted maximizing quadruple
+    A value pass finds twice the delta B, parallel over ``threads``; a
+    serial witness pass then walks the smallest vertex a upwards and
+    returns the lexicographically smallest sorted maximizing quadruple
     whose largest-sum pairing is two far-apart pairs (see the module
     docstring); with delta 0 it is (0, 0, 0, 0).
     """
@@ -180,81 +207,100 @@ def hyperbolicity(
         return HalfInt(0), zero_witness
 
     dist = dm.dist
-    iu, iv = np.nonzero(np.triu(_far_apart(g, dist), 1))
+    iu, iv = (a.astype(np.int32) for a in np.nonzero(np.triu(_far_apart(g, dist), 1)))
     duv = dist[iu, iv].astype(np.int32)
-    order = np.lexsort((iv, iu, -duv))
-    u_arr = iu[order].astype(np.int32)
-    v_arr = iv[order].astype(np.int32)
-    d_arr = duv[order]
-    npairs = d_arr.shape[0]
     d32 = dist.astype(np.int32)
+    best = _value_pass(d32, iu, iv, duv, threads)
+    if best == 0:
+        return HalfInt(0), zero_witness
+    q = _witness_pass(d32, iu, iv, duv, best)
+    sums = _sums(dm, *q)
+    top = sorted(sums)
+    assert top[2] - top[1] == best, "scan/recheck mismatch"
+    return HalfInt(best), HyperbolicityWitness(q, sums, HalfInt(best))
 
-    state = {"best": 0, "witness": None}
+
+def _value_pass(
+    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray, threads: int
+) -> int:
+    """Twice the delta: the largest gap over pairs of pairs, both above it."""
+    order = np.argsort(-duv, kind="stable")
+    u_arr, v_arr, d_arr = iu[order], iv[order], duv[order]
+    npairs = d_arr.shape[0]
+    state = {"best": 0}
     lock = threading.Lock()
 
     def scan_chunk(i0: int) -> None:
         i1 = min(i0 + _CHUNK, npairs)
         best_now = state["best"]
-        if d_arr[i0] < best_now:
+        if d_arr[i0] <= best_now:
             return
-        jmax = int(np.searchsorted(-d_arr, -best_now, side="right"))
-        jmax = min(max(jmax, 1), i1)
+        # a pair at distance <= best cannot lie in a gap above best
+        jmax = min(int(np.searchsorted(-d_arr, -best_now, side="left")), i1)
+        U, V, DUV = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
+        # a pairing visited twice, once from each of its pairs, only repeats
+        # its gap, so the columns may reach past the diagonal up to i1
         for j0 in range(0, jmax, _TILE):
-            scan_tile(i0, i1, j0, min(j0 + _TILE, jmax))
-
-    def scan_tile(i0: int, i1: int, j0: int, j1: int) -> None:
-        U, V, DO = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
-        W, X = u_arr[j0:j1], v_arr[j0:j1]
-        s1 = DO[:, None] + d_arr[None, j0:j1]
-        s2 = d32[np.ix_(U, W)] + d32[np.ix_(V, X)]
-        s3 = d32[np.ix_(U, X)] + d32[np.ix_(V, W)]
-        gap = s1 - np.maximum(s2, s3)
-        # only pairings with inner index <= outer index are this visit's duty
-        cols = np.arange(j0, j1)[None, :]
-        rows = np.arange(i0, i1)[:, None]
-        gap = np.where(cols <= rows, gap, -1)
-        mx = int(gap.max(initial=-1))
-        if mx < 0:
-            return
-        with lock:
-            if mx < state["best"]:
-                return
-            hits = np.argwhere(gap == mx)
-            quads = np.stack(
-                [
-                    U[hits[:, 0]],
-                    V[hits[:, 0]],
-                    W[hits[:, 1]],
-                    X[hits[:, 1]],
-                ],
-                axis=1,
-            )
-            quads.sort(axis=1)
-            pick = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0]))[0]
-            cand = tuple(int(t) for t in quads[pick])
+            j1 = min(j0 + _TILE, jmax)
+            gap = _gaps(d32, U, V, DUV, u_arr[j0:j1], v_arr[j0:j1], d_arr[j0:j1])
+            mx = int(gap.max())
             if mx > state["best"]:
-                state["best"] = mx
-                state["witness"] = cand
-            elif state["witness"] is None or cand < state["witness"]:
-                state["witness"] = cand
+                with lock:
+                    state["best"] = max(state["best"], mx)
 
-    chunk_starts = list(range(0, npairs, _CHUNK))
-    if threads and threads > 1:
+    chunk_starts = range(0, npairs, _CHUNK)
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(scan_chunk, chunk_starts))
     else:
         for i0 in chunk_starts:
-            if d_arr[i0] < state["best"]:
+            if d_arr[i0] <= state["best"]:
                 break
             scan_chunk(i0)
+    return state["best"]
 
-    if state["witness"] is None or state["best"] == 0:
-        return HalfInt(0), zero_witness
-    q = state["witness"]
-    sums = _sums(dm, *q)
-    top = sorted(sums)
-    assert top[2] - top[1] == state["best"], "scan/recheck mismatch"
-    return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
+
+def _witness_pass(
+    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray, best: int
+) -> tuple[int, int, int, int]:
+    """The lex-min sorted quadruple of two far-apart pairs with gap ``best``.
+
+    Pairs at distance >= best, sorted by (u, v), are walked by their first
+    vertex a: the pairs (a, v) as rows against the pairs with u > a as
+    columns.  The first a with a hit is the smallest vertex of every
+    maximizer, and every maximizer with smallest vertex a is among its hits.
+    """
+    keep = duv >= best
+    iu, iv, duv = iu[keep], iv[keep], duv[keep]
+    order = np.lexsort((iv, iu))
+    u_arr, v_arr, d_arr = iu[order], iv[order], duv[order]
+    npairs = d_arr.shape[0]
+    # the pairs with first vertex a occupy positions [starts[a], starts[a + 1])
+    starts = np.searchsorted(u_arr, np.arange(d32.shape[0] + 1))
+    for a in range(d32.shape[0]):
+        r0, r1 = int(starts[a]), int(starts[a + 1])
+        if r1 == npairs:
+            break
+        found = None
+        for i0 in range(r0, r1, _CHUNK):
+            i1 = min(i0 + _CHUNK, r1)
+            V, DUV = v_arr[i0:i1], d_arr[i0:i1]
+            for j0 in range(r1, npairs, _TILE):
+                j1 = min(j0 + _TILE, npairs)
+                W, X = u_arr[j0:j1], v_arr[j0:j1]
+                gap = _gaps(d32, u_arr[i0:i1], V, DUV, W, X, d_arr[j0:j1])
+                hits = np.argwhere(gap == best)
+                if not hits.size:
+                    continue
+                rest = np.stack([V[hits[:, 0]], W[hits[:, 1]], X[hits[:, 1]]], axis=1)
+                rest.sort(axis=1)
+                pick = np.lexsort((rest[:, 2], rest[:, 1], rest[:, 0]))[0]
+                cand = tuple(int(t) for t in rest[pick])
+                if found is None or cand < found:
+                    found = cand
+        if found is not None:
+            return (a, *found)
+    raise AssertionError(f"the value pass found gap {best} but no quadruple has it")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ package's distance matrix: ``helly_bruteforce`` and
 ``triple_witness`` runs the vertex-triple test on its distance rows and
 disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
 ``all_pairs_hyperbolicity`` is the four-point scan over all of its pairs,
+``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
+far-apart pairs,
 ``box_extremal_functions`` enumerates the hull's candidate box
 under the package's own budget pre-check, and ``find_isometric_embedding``
 searches its distance rows.
@@ -36,7 +38,12 @@ from hellymetric import (
     apsp,
 )
 from hellymetric.hull import HullBudgetError, _bfs_vertex_order, _resolve_budget
-from hellymetric.hyperbolicity import HyperbolicityWitness, _sums, is_block_graph
+from hellymetric.hyperbolicity import (
+    HyperbolicityWitness,
+    _far_apart,
+    _sums,
+    is_block_graph,
+)
 
 
 class EnumerationBudgetError(Exception):
@@ -432,6 +439,100 @@ def all_pairs_hyperbolicity(
     dist = dm.dist
     n = g.n
     iu, iv = np.triu_indices(n, k=1)
+    duv = dist[iu, iv].astype(np.int32)
+    order = np.lexsort((iv, iu, -duv))
+    u_arr = iu[order].astype(np.int32)
+    v_arr = iv[order].astype(np.int32)
+    d_arr = duv[order]
+    npairs = d_arr.shape[0]
+    d32 = dist.astype(np.int32)
+
+    state = {"best": 0, "witness": None}
+    lock = threading.Lock()
+
+    def scan_chunk(i0: int) -> None:
+        i1 = min(i0 + chunk, npairs)
+        best_now = state["best"]
+        if d_arr[i0] < best_now:
+            return
+        jmax = int(np.searchsorted(-d_arr, -best_now, side="right"))
+        jmax = min(max(jmax, 1), i1)
+        for j0 in range(0, jmax, tile):
+            scan_tile(i0, i1, j0, min(j0 + tile, jmax))
+
+    def scan_tile(i0: int, i1: int, j0: int, j1: int) -> None:
+        U, V, DO = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
+        W, X = u_arr[j0:j1], v_arr[j0:j1]
+        s1 = DO[:, None] + d_arr[None, j0:j1]
+        s2 = d32[np.ix_(U, W)] + d32[np.ix_(V, X)]
+        s3 = d32[np.ix_(U, X)] + d32[np.ix_(V, W)]
+        gap = s1 - np.maximum(s2, s3)
+        # only pairings with inner index <= outer index are this visit's duty
+        cols = np.arange(j0, j1)[None, :]
+        rows = np.arange(i0, i1)[:, None]
+        gap = np.where(cols <= rows, gap, -1)
+        mx = int(gap.max(initial=-1))
+        if mx < 0:
+            return
+        with lock:
+            if mx < state["best"]:
+                return
+            hits = np.argwhere(gap == mx)
+            quads = np.stack(
+                [
+                    U[hits[:, 0]],
+                    V[hits[:, 0]],
+                    W[hits[:, 1]],
+                    X[hits[:, 1]],
+                ],
+                axis=1,
+            )
+            quads.sort(axis=1)
+            pick = np.lexsort((quads[:, 3], quads[:, 2], quads[:, 1], quads[:, 0]))[0]
+            cand = tuple(int(t) for t in quads[pick])
+            if mx > state["best"]:
+                state["best"] = mx
+                state["witness"] = cand
+            elif state["witness"] is None or cand < state["witness"]:
+                state["witness"] = cand
+
+    chunk_starts = list(range(0, npairs, chunk))
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(scan_chunk, chunk_starts))
+    else:
+        for i0 in chunk_starts:
+            if d_arr[i0] < state["best"]:
+                break
+            scan_chunk(i0)
+
+    if state["witness"] is None or state["best"] == 0:
+        return HalfInt(0), zero_witness
+    q = state["witness"]
+    sums = _sums(dm, *q)
+    top = sorted(sums)
+    assert top[2] - top[1] == state["best"], "scan/recheck mismatch"
+    return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
+
+
+def tie_scan_hyperbolicity(
+    g: Graph, dm: DistanceMatrix, *, threads: int = 1
+) -> tuple[HalfInt, HyperbolicityWitness]:
+    """The one-pass far-apart scan that keeps every tie of the running best.
+
+    Far-apart pairs are swept in decreasing distance order in chunks of 64
+    outer pairs tiled over 16,384 inner pairs; pairs below the running best
+    are pruned, and each tile's lex-min tie is merged under a lock, so the
+    witness is the lex-min sorted maximizer whose largest-sum pairing is two
+    far-apart pairs, whatever ``threads`` is.
+    """
+    chunk, tile = 64, 1 << 14
+    zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
+    if g.n < 4 or is_block_graph(g):
+        return HalfInt(0), zero_witness
+
+    dist = dm.dist
+    iu, iv = np.nonzero(np.triu(_far_apart(g, dist), 1))
     duv = dist[iu, iv].astype(np.int32)
     order = np.lexsort((iv, iu, -duv))
     u_arr = iu[order].astype(np.int32)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from hellymetric import (
     Graph,
     InternalInconsistencyError,
@@ -357,6 +359,44 @@ def test_disconnected_file_is_an_input_error(tmp_path, capsys) -> None:
     p.write_text("0 1\n2 3\n", encoding="utf-8")
     assert main(["analyze", str(p)]) == 1
     assert "not connected" in capsys.readouterr().err
+
+
+def exit_code(argv: list[str]) -> int:
+    """The code of the SystemExit that argument parsing raises."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "g.edges", "--threads", "abc"],
+        ["analyze", "g.edges", "--threads", "0"],
+        ["analyze", "g.edges", "--threads", "-3"],
+        ["analyze"],
+        ["analyze", "g.edges", "--no-such-flag"],
+        ["bogus"],
+        [],
+        ["generate", "--family", "king", "--p", "x"],
+    ],
+)
+def test_argument_errors_are_input_errors(argv, capsys) -> None:
+    assert exit_code(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_threads_error_names_the_bound(capsys) -> None:
+    assert exit_code(["analyze", "g.edges", "--threads", "0"]) == 1
+    assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["verify", "-h"]])
+def test_help_exits_0(argv, capsys) -> None:
+    assert exit_code(argv) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_oversize_file_is_an_input_error(tmp_path, capsys) -> None:

@@ -1,12 +1,17 @@
-"""The hyperbolicity scan tiled over columns: same result, bounded memory."""
+"""The hyperbolicity scan tiled over columns: same result, bounded memory.
+
+Both passes of the scan, the value pass and the witness pass, tile their
+columns by ``_TILE``.
+"""
 from __future__ import annotations
 
 import importlib
+import random
 import tracemalloc
 
 import pytest
 
-from hellymetric import apsp, hyperbolicity, random_connected_graph
+from hellymetric import Graph, apsp, hyperbolicity, random_connected_graph
 
 # the package re-exports a function under the module's name
 scan_module = importlib.import_module("hellymetric.hyperbolicity")
@@ -20,16 +25,18 @@ RANDOM = [
 @pytest.mark.parametrize("threads", [1, 2])
 def test_tiny_tiles_match_the_untiled_scan(hull_corpus, monkeypatch, threads) -> None:
     graphs = hull_corpus + RANDOM
-    # no input here has more than _TILE pairs, so the default scan is untiled
+    # no input here has more than _TILE pairs, so the default scan is untiled;
+    # at 7 columns both passes split their columns into many tiles
     untiled = [hyperbolicity(g, threads=1) for g in graphs]
     monkeypatch.setattr(scan_module, "_TILE", 7)
     assert [hyperbolicity(g, threads=threads) for g in graphs] == untiled
 
 
 def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
-    # Untiled, the last chunks scanned here hold 64 x ~5,500 int32 per
-    # temporary (the far-apart pairs at distance >= 4) and the scan peaks
-    # near 7.8 MB.  A 1,024-column tile keeps each temporary at 256 KB.
+    # Only 22 far-apart pairs lie above distance 4, so the value pass stops
+    # after one chunk, and the witness pass pairs the 9 pairs (0, v) with
+    # the ~5,500 pairs at distance >= 4.  Untiled the scan peaks near
+    # 1.6 MB, and near 0.9 MB with a 1,024-column tile.
     g = random_connected_graph(300, 0.028, 1)
     dm = apsp(g)
     monkeypatch.setattr(scan_module, "_TILE", 1 << 10)
@@ -40,4 +47,35 @@ def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
     finally:
         tracemalloc.stop()
     assert value.doubled == 4
+    assert peak < 6 * 2**20
+
+
+def c4_cactus(t: int, seed: int) -> Graph:
+    """A seeded bushy tree on t vertices with every edge replaced by a C4."""
+    rng = random.Random(seed)
+    edges = []
+    for v in range(1, t):
+        p = rng.randrange(max(1, v // 4))
+        a, b = t + 2 * (v - 1), t + 2 * (v - 1) + 1
+        edges += [(p, a), (a, v), (p, b), (b, v)]
+    return Graph(3 * t - 2, edges)
+
+
+def test_both_passes_peak_allocation_follows_the_tile(monkeypatch) -> None:
+    # Every block is a C4, so the doubled value is 2, and 9,080 far-apart
+    # pairs lie above it.  Untiled, the value pass alone peaks near 8.9 MB
+    # (the last chunks pair with ~9,000 columns) and the witness pass near
+    # 11.2 MB (it walks a up to 33, each against ~9,000 columns); with a
+    # 1,024-column tile the whole scan peaks near 2.7 MB.
+    g = c4_cactus(170, 1)
+    dm = apsp(g)
+    monkeypatch.setattr(scan_module, "_TILE", 1 << 10)
+    tracemalloc.start()
+    try:
+        value, w = hyperbolicity(g, dm=dm, threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.doubled == 2
+    assert w.quadruple == (33, 36, 182, 183)
     assert peak < 6 * 2**20
