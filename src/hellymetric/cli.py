@@ -10,7 +10,8 @@ Exit codes, used consistently by every subcommand:
 * 4 — precondition warning (non-Helly input, enumeration budget exceeded)
 
 Environment: HELLYMETRIC_THREADS sets the default worker count for the
-hyperbolicity scan; HELLYMETRIC_HULL_BUDGET caps hull enumeration size.
+hyperbolicity scan (an integer >= 1; any other value exits 1);
+HELLYMETRIC_HULL_BUDGET caps hull enumeration size.
 """
 from __future__ import annotations
 
@@ -56,10 +57,11 @@ _THREADS_ENV = "HELLYMETRIC_THREADS"
 
 
 def _default_threads() -> int:
+    """$HELLYMETRIC_THREADS, or 1 when unset; a bad value is a bad parameter."""
     try:
-        return max(1, int(os.environ.get(_THREADS_ENV, "1")))
-    except ValueError:
-        return 1
+        return _positive_int(os.environ.get(_THREADS_ENV, "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{_THREADS_ENV}: {exc}") from None
 
 
 def _positive_int(text: str) -> int:
@@ -97,8 +99,8 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    g = _read_graph(args.path)
     threads = _default_threads() if args.threads is None else args.threads
+    g = _read_graph(args.path)
     report = build_analysis(g, threads=threads, include_hull=not args.no_hull)
 
     lines = [
@@ -354,8 +356,9 @@ def cmd_power(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    threads = _default_threads()
     g = _read_graph(args.path)
-    results = verify_claims(g, threads=_default_threads())
+    results = verify_claims(g, threads=threads)
     width = max(len(r.claim) for r in results)
     for r in results:
         sys.stdout.write(f"{r.status:<4} {r.claim:<{width}}  {r.detail}\n")

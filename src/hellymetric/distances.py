@@ -1,8 +1,23 @@
 """All-pairs distances and the distance-derived machinery.
 
 The distance matrix is the workhorse of every scan in the package; it is
-computed once per graph by a bitset BFS and carries lazy caches of ball
-bitmasks (disk membership) and power-adjacency bitmasks.
+computed once per graph and carries lazy caches of ball bitmasks (disk
+membership) and power-adjacency bitmasks, each packed from one row of the
+matrix.
+
+``apsp`` has two kernels.  The all-sources kernel runs the BFS from every
+source at once: row v of an n x ceil(n/64) matrix of 64-bit words holds one
+bit per source whose frontier contains v, each level ORs the rows of v's
+neighbours over the graph's CSR adjacency (``Graph.reduce_neighbors``),
+clears the sources that reached v earlier, and writes the depth into the
+cells of the bits left.  A level costs about n^2 cell writes plus 2m n/64
+word ORs whatever the frontier size, so it loses on long diameters and on
+tiny graphs, where the per-source bitset BFS (about n^2 interpreter steps
+in all) stays.  One BFS from vertex 0 gives ecc(0), the number of levels is
+at most diam + 1 <= 2 ecc(0) + 1, and ``_all_sources_pays`` compares the
+two costs from n, m and that bound.  The all-sources temporaries are capped:
+the neighbour rows are gathered at most 4 MB at a time, and the bits are
+unpacked into the matrix at most 4 MB of cells at a time.
 """
 from __future__ import annotations
 
@@ -11,6 +26,15 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import DisconnectedGraphError, Graph, GraphError, induced_subgraph
+
+# cost model of _all_sources_pays, in nanoseconds, fitted to both kernels'
+# timings on 118 graphs (n 4..800) on an x86-64 VM
+_PER_CELL_NS = 290
+_LEVEL_NS = 10_000
+_GATHER_NS = 7
+_UNPACK_NS = 0.75
+# cap on the n x n bit temporary of one _all_sources write-back, in bytes
+_UNPACK_BYTES = 1 << 22
 
 
 class DistanceMatrix:
@@ -43,11 +67,8 @@ class DistanceMatrix:
         cache = self._balls[center]
         mask = cache.get(r)
         if mask is None:
-            mask = 0
-            row = self._rows[center]
-            for v in range(self.n):
-                if row[v] <= r:
-                    mask |= 1 << v
+            packed = np.packbits(self.dist[center] <= r, bitorder="little")
+            mask = int.from_bytes(packed.tobytes(), "little")
             cache[r] = mask
         return mask
 
@@ -78,7 +99,9 @@ def apsp(g: Graph) -> DistanceMatrix:
 
     Distances are stored as int16, so a graph whose diameter could exceed
     its maximum (n - 1 > 32,767) is refused before the n^2 cells are
-    allocated.
+    allocated.  One BFS from vertex 0 checks connectivity and bounds the
+    number of levels by 2 ecc(0) + 1; ``_all_sources_pays`` then picks the
+    all-sources kernel or the per-source BFS (see the module docstring).
     """
     n = g.n
     if n - 1 > np.iinfo(np.int16).max:
@@ -86,34 +109,96 @@ def apsp(g: Graph) -> DistanceMatrix:
             f"graph has {n} vertices; the int16 distance matrix holds "
             f"at most {np.iinfo(np.int16).max + 1}"
         )
-    dist = np.full((n, n), -1, dtype=np.int16)
-    adj = g.adj_bits
-    for src in range(n):
-        row = dist[src]
-        row[src] = 0
-        reached = 1 << src
-        frontier = reached
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~reached
-            reached |= frontier
-            m = frontier
-            while m:
-                low = m & -m
-                row[low.bit_length() - 1] = depth
-                m ^= low
-        if reached != (1 << n) - 1:
-            raise DisconnectedGraphError(
-                f"vertex {src} cannot reach every vertex; graph is disconnected"
-            )
+    first = _bfs_row(g, 0)
+    if _all_sources_pays(n, g.m, 2 * max(first) + 1):
+        return DistanceMatrix(_all_sources(g))
+    dist = np.empty((n, n), dtype=np.int16)
+    dist[0] = first
+    for src in range(1, n):
+        dist[src] = _bfs_row(g, src)
     return DistanceMatrix(dist)
+
+
+def _bfs_row(g: Graph, src: int) -> list[int]:
+    """Distances from ``src`` by a bitset BFS, one vertex at a time."""
+    n = g.n
+    adj = g.adj_bits
+    row = [0] * n
+    reached = 1 << src
+    frontier = reached
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = 0
+        m = frontier
+        while m:
+            low = m & -m
+            nxt |= adj[low.bit_length() - 1]
+            m ^= low
+        frontier = nxt & ~reached
+        reached |= frontier
+        m = frontier
+        while m:
+            low = m & -m
+            row[low.bit_length() - 1] = depth
+            m ^= low
+    if reached != (1 << n) - 1:
+        raise DisconnectedGraphError(
+            f"vertex {src} cannot reach every vertex; graph is disconnected"
+        )
+    return row
+
+
+def _all_sources_pays(n: int, m: int, levels: int) -> bool:
+    """Is the all-sources kernel cheaper than n per-source BFS runs?
+
+    Estimated in nanoseconds: the per-source BFS spends PER_CELL + n/2
+    on each of its n^2 cells (its bitmasks grow with n); an all-sources
+    level costs LEVEL plus GATHER per 64-bit word folded over the 2m
+    adjacencies plus UNPACK per cell written back, and there are at most
+    ``levels`` of them.
+    """
+    words = (n + 63) // 64
+    per_source = (_PER_CELL_NS + n / 2) * n * n
+    all_sources = levels * (
+        _LEVEL_NS + _GATHER_NS * 2 * m * words + _UNPACK_NS * n * n
+    )
+    return all_sources < per_source
+
+
+def _all_sources(g: Graph) -> np.ndarray:
+    """Distances from every source at once, one BFS level per step.
+
+    Row v of ``front`` packs, one bit per source, the sources whose BFS
+    frontier holds v; ``reached`` packs those that have reached v.  A
+    level folds the frontier rows of v's neighbours (OR), drops the
+    sources already reached, and writes the depth into the cells set.
+    The graph must be connected with n >= 2.
+    """
+    n = g.n
+    words = (n + 63) // 64
+    v = np.arange(n)
+    front = np.zeros((n, words), "<u8")
+    front[v, v >> 6] = np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+    reached = front.copy()
+    dist = np.zeros((n, n), dtype=np.int16)
+    # rows of ``dist`` unpacked at once, so the n x n bit temporary is capped
+    rows = max(1, _UNPACK_BYTES // n)
+    depth = 0
+    while True:
+        front = g.reduce_neighbors(np.bitwise_or, front)
+        front &= ~reached
+        if not front.any():
+            return dist
+        reached |= front
+        depth += 1
+        bits = front.view(np.uint8)
+        for r0 in range(0, n, rows):
+            np.putmask(
+                dist[r0:r0 + rows],
+                np.unpackbits(bits[r0:r0 + rows], axis=1, count=n, bitorder="little"),
+                depth,
+            )
 
 
 def graph_power(g: Graph, k: int, *, dm: DistanceMatrix | None = None) -> Graph:

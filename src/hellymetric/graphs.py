@@ -2,12 +2,20 @@
 
 Vertices are dense 0-based integers.  Adjacency is kept both as sorted
 neighbor tuples (for iteration) and as per-vertex bitmasks (for the set
-algebra the scans rely on).
+algebra the scans rely on); a CSR copy of it (the neighbor tuples laid end
+to end, plus each vertex's offset) is built on first use and backs
+``Graph.reduce_neighbors``, the vectorized per-vertex fold over neighbors.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Iterable, Sequence
+
+import numpy as np
+
+# cap on the rows gathered at once by Graph.reduce_neighbors, in bytes
+_GATHER_BYTES = 1 << 22
 
 
 class GraphError(Exception):
@@ -21,7 +29,7 @@ class DisconnectedGraphError(GraphError):
 class Graph:
     """Simple undirected graph on vertices 0..n-1.  Treat as immutable."""
 
-    __slots__ = ("n", "m", "neighbors", "adj_bits", "name", "vertex_labels")
+    __slots__ = ("n", "m", "neighbors", "adj_bits", "name", "vertex_labels", "_csr")
 
     def __init__(
         self,
@@ -62,6 +70,7 @@ class Graph:
         if vertex_labels is not None and len(vertex_labels) != n:
             raise GraphError("vertex_labels length must equal n")
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
+        self._csr: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic queries --------------------------------------------------
     def edges(self) -> list[tuple[int, int]]:
@@ -93,6 +102,42 @@ class Graph:
             frontier = nxt & ~reached
             reached |= frontier
         return reached == full
+
+    def reduce_neighbors(self, ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+        """out[v] = ufunc.reduce(table[N(v)], axis=0) for every vertex v.
+
+        Every vertex needs a neighbour (a connected graph on n >= 2
+        vertices).  The rows table[u] of all adjacencies (u in N(v)) are
+        gathered in chunks of at most _GATHER_BYTES, or one row when a row
+        is larger; a vertex whose neighbours span two chunks folds both
+        partial results.
+        """
+        if self._csr is None:
+            nbrs = np.fromiter(
+                itertools.chain.from_iterable(self.neighbors), np.intp, 2 * self.m
+            )
+            starts = np.zeros(self.n, np.intp)
+            np.cumsum([len(a) for a in self.neighbors[:-1]], out=starts[1:])
+            self._csr = (nbrs, starts)
+        nbrs, starts = self._csr
+        step = max(1, _GATHER_BYTES // max(1, table[0].nbytes))
+        if len(nbrs) <= step:
+            return ufunc.reduceat(table[nbrs], starts, axis=0)
+        out = np.empty((self.n,) + table.shape[1:], table.dtype)
+        for e0 in range(0, len(nbrs), step):
+            e1 = min(e0 + step, len(nbrs))
+            # the vertices va..vb-1 own the adjacency slots e0..e1-1
+            va = int(np.searchsorted(starts, e0, "right")) - 1
+            vb = int(np.searchsorted(starts, e1, "left"))
+            local = starts[va:vb] - e0
+            local[0] = 0
+            part = ufunc.reduceat(table[nbrs[e0:e1]], local, axis=0)
+            if starts[va] < e0:  # va's neighbours began in the last chunk
+                ufunc(out[va], part[0], out=out[va])
+                out[va + 1:vb] = part[1:]
+            else:
+                out[va:vb] = part
+        return out
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""

@@ -82,11 +82,6 @@ class ThinnessWitness:
     distance: int
 
 
-def gromov_product(dm: DistanceMatrix, x: int, y: int, z: int) -> HalfInt:
-    """(x|y) anchored at z: half of d(x,z)+d(y,z)-d(x,y)."""
-    return HalfInt(dm.d(x, z) + dm.d(y, z) - dm.d(x, y))
-
-
 def _sums(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> tuple[int, int, int]:
     return (
         dm.d(u, v) + dm.d(w, x),
@@ -172,9 +167,7 @@ def _biconnected_components(g: Graph) -> list[set[int]]:
 def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
     """far[u, v]: no neighbour of u is farther from v, nor of v from u."""
     # reach[u, v]: the largest distance from a neighbour of u to v
-    reach = np.empty_like(dist)
-    for u, nbrs in enumerate(g.neighbors):
-        reach[u] = dist[list(nbrs)].max(axis=0)
+    reach = g.reduce_neighbors(np.maximum, dist)
     return (reach <= dist) & (reach.T <= dist)
 
 

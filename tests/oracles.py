@@ -70,6 +70,20 @@ def all_distances(g: Graph) -> dict[tuple[int, int], int]:
     return out
 
 
+def gromov_product(dm: DistanceMatrix, x: int, y: int, z: int) -> HalfInt:
+    """(x|y) anchored at z: half of d(x,z)+d(y,z)-d(x,y)."""
+    return HalfInt(dm.d(x, z) + dm.d(y, z) - dm.d(x, y))
+
+
+def loop_ball_bits(dm: DistanceMatrix, center: int, radius: int) -> int:
+    """Bitmask of D(center, radius) by a plain loop over the vertices."""
+    mask = 0
+    for v in range(dm.n):
+        if dm.d(center, v) <= radius:
+            mask |= 1 << v
+    return mask
+
+
 def brute_hyperbolicity(g: Graph) -> Fraction:
     """Largest (top sum - second sum)/2 over all vertex quadruples."""
     d = all_distances(g)

@@ -433,9 +433,16 @@ def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
     monkeypatch.setenv("HELLYMETRIC_THREADS", "4")
     assert main(["analyze", path, "--no-hull"]) == 0
     capsys.readouterr()
-    monkeypatch.setenv("HELLYMETRIC_THREADS", "not-a-number")
-    assert main(["analyze", path, "--no-hull"]) == 0
-    capsys.readouterr()
+    # a bad value is a bad parameter, as it is for --threads: exit 1, one line
+    for bad in ("0", "-3", "abc"):
+        monkeypatch.setenv("HELLYMETRIC_THREADS", bad)
+        for argv in (["analyze", path, "--no-hull"], ["verify", path]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1 and "HELLYMETRIC_THREADS" in err
+    # --threads is given, so the variable is not read
+    assert main(["analyze", path, "--no-hull", "--threads", "2"]) == 0
 
 
 def test_analyze_reads_threads_environment_variable_on_each_call(

@@ -20,13 +20,9 @@ from hellymetric import (
     path_graph,
     random_connected_graph,
 )
-from hellymetric.hyperbolicity import (
-    gromov_product,
-    is_block_graph,
-    quadruple_delta,
-)
+from hellymetric.hyperbolicity import is_block_graph, quadruple_delta
 
-from oracles import brute_hyperbolicity, brute_thinness
+from oracles import brute_hyperbolicity, brute_thinness, gromov_product
 
 
 def glued_blocks_graph() -> Graph:
