@@ -109,8 +109,8 @@ class Graph:
         Every vertex needs a neighbour (a connected graph on n >= 2
         vertices).  The rows table[u] of all adjacencies (u in N(v)) are
         gathered in chunks of at most _GATHER_BYTES, or one row when a row
-        is larger; a vertex whose neighbours span two chunks folds both
-        partial results.
+        is larger; a vertex whose neighbours span several chunks folds
+        their partial results.
         """
         if self._csr is None:
             nbrs = np.fromiter(
