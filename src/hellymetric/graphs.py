@@ -17,6 +17,11 @@ import numpy as np
 # cap on the rows gathered at once by Graph.reduce_neighbors, in bytes
 _GATHER_BYTES = 1 << 22
 
+# random_connected_graph makes at most this many random draws over all its
+# redraws, or one redraw if that alone needs more, so that a prob at which a
+# draw is almost never connected is refused in bounded time
+_DRAW_LIMIT = 10**7
+
 
 class GraphError(Exception):
     """Invalid graph construction or malformed edge-list input."""
@@ -252,20 +257,27 @@ def king_grid(p: int, q: int) -> Graph:
 
 
 def random_connected_graph(n: int, prob: float, seed: int) -> Graph:
-    """Seeded G(n, prob), redrawn until connected.  Deterministic per seed."""
+    """Seeded G(n, prob), redrawn until connected.  Deterministic per seed.
+
+    A redraw takes one random draw per vertex pair, in the order (0, 1),
+    (0, 2), ..., (n-2, n-1).  At most 10,000 redraws are made, and no more
+    than ``_DRAW_LIMIT`` draws in all (but always one redraw); past that the
+    sample is refused with GraphError.
+    """
     if n < 1:
         raise GraphError("need at least one vertex")
     if not (0.0 <= prob <= 1.0):
         raise GraphError("edge probability must be in [0,1]")
+    name = f"gnp({n},{prob},{seed})"
+    if n == 1:
+        return Graph(1, [], name=name)
     rng = random.Random(seed)
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(10000):
-        edges = [e for e in pairs if rng.random() < prob]
-        if n == 1:
-            return Graph(1, [], name=f"gnp({n},{prob},{seed})")
+    redraws = min(10000, max(1, _DRAW_LIMIT // (n * (n - 1) // 2)))
+    for _ in range(redraws):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < prob]
         if not edges:
             continue
-        g = Graph(n, edges, name=f"gnp({n},{prob},{seed})")
+        g = Graph(n, edges, name=name)
         if g.is_connected():
             return g
     raise GraphError(

@@ -33,25 +33,30 @@ over all quadruples.  Both passes tile their inner pairs in blocks of
 ``_TILE`` columns, so their temporaries are at most 64 x ``_TILE`` integers
 whatever the graph size.
 
-Interval thinness is batched per source x.  With A[y, u] true when u lies
-on a shortest (x, y)-path, two vertices u, v of the level L_k(x) lie in a
-common slice iff some y has A[y, u] and A[y, v], that is iff the entry
-(u, v) of A_k^T A_k is positive, where A_k keeps the columns of L_k and the
-rows y with d(x, y) > k (no nearer y holds two level-k vertices).  The
-product is taken in float32; it is exact because each entry counts at most
-n < 2^24 endpoints, and ``apsp`` refuses graphs far smaller than that.  A
+Interval thinness is batched per source x and level k.  With A[u, y] true
+when u lies on a shortest (x, y)-path, two vertices u, v of the level L_k(x)
+lie in a common slice iff some y has A[u, y] and A[v, y], that is iff the
+entry (u, v) of A_k A_k^T is positive, where A_k keeps the rows of L_k and
+the columns y with d(x, y) > k (no nearer y holds two level-k vertices).
+One stable argsort of the row of x gives the levels; a level gathers only
+its own |L_k| distance rows, which by symmetry hold its columns too, so no
+n x n copy of the matrix is made.  The product is taken in float32 and only
+its sign is read, which no rounding of nonnegative terms can flip.  A
 source is skipped when 2 floor(ecc(x)/2) cannot beat the running best, and a
-level when neither 2 min(k, ecc(x) - k) nor its largest internal distance
-can.  Only the first source whose levels reach tau is rescanned pair by
-pair for the witness: it has a hit with y > x, because I(x, y) = I(y, x)
-with mirrored slices, so a hit with y < x would have reached tau at the
-earlier source y.
+level, before A_k is built, when neither 2 min(k, ecc(x) - k) nor its
+largest internal distance can.  The witness revisits only the first source
+whose levels reach tau, at floor tau - 1: each surviving level multiplies
+its pairs at distance tau into A_k, which names the endpoints y sharing
+such a pair.  The witness has y > x, because I(x, y) = I(y, x) with
+mirrored slices, so a hit with y < x would have reached tau at the earlier
+source y.
 """
 from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -324,57 +329,82 @@ def interval_thinness(
     tau is 0 the witness is ((0, 0), 0, (0, 0), 0).
     """
     dm = dm or apsp(g)
-    dist = dm.dist.astype(np.int32)  # sums of two int16 distances may not fit
+    dist = dm.dist
     best, first = 0, -1
     for x in range(g.n):
         ecc = int(dm.ecc[x])
         # two level-k vertices of I(x, y) are at most 2 min(k, ecc - k) apart
         if 2 * (ecc // 2) <= best:
             continue
-        order = np.argsort(dist[x], kind="stable")
-        ds = dist[x, order]
-        d = dist[np.ix_(order, order)]
-        # level k of x occupies positions [starts[k], starts[k + 1])
-        starts = np.searchsorted(ds, np.arange(ecc + 1))
-        member = None
-        for k in range(1, ecc):
-            lo, hi = int(starts[k]), int(starts[k + 1])
-            if hi - lo < 2 or 2 * min(k, ecc - k) <= best:
-                continue
-            level = d[lo:hi, lo:hi]
-            if int(level.max()) <= best:
-                continue
-            if member is None:
-                # member[y, u]: u lies on a shortest (x, y)-path
-                member = (ds[:, None] == ds[None, :] + d).astype(np.float32)
-            # only endpoints y beyond level k can hold two level-k vertices
-            a = member[hi:, lo:hi]
-            shared = a.T @ a > 0
+        # the floor is read per level, so a level that raises best prunes the rest
+        for _, level, _, member in _levels(dist, x, ecc, lambda: best):
+            shared = member @ member.T > 0
             mx = int(np.where(shared, level, -1).max())
             if mx > best:
                 best, first = mx, x
     if best == 0:
         return 0, ThinnessWitness((0, 0), 0, (0, 0), 0)
-    return best, _first_witness(dist, first, best)
+    return best, _witness(dist, first, int(dm.ecc[first]), best)
 
 
-def _first_witness(dist: np.ndarray, x: int, tau: int) -> ThinnessWitness:
+def _levels(
+    dist: np.ndarray, x: int, ecc: int, floor: Callable[[], int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The levels of x whose pairs may lie farther apart than ``floor()``.
+
+    Yields, per level k, its vertices in increasing order, their distance
+    block, the vertices y beyond the level (d(x, y) > k; no nearer y holds
+    two level-k vertices), and member[i, j] = 1.0 when the i-th level vertex
+    lies on a shortest (x, y_j)-path.
+    """
+    dx = dist[x]
+    order = np.argsort(dx, kind="stable")
+    ds = dx[order]
+    # level k of x occupies positions [starts[k], starts[k + 1])
+    starts = np.searchsorted(ds, np.arange(ecc + 1))
+    for k in range(1, ecc):
+        lo, hi = int(starts[k]), int(starts[k + 1])
+        if hi - lo < 2 or 2 * min(k, ecc - k) <= floor():
+            continue
+        ids = order[lo:hi]
+        # dist is symmetric, so the level's rows hold its columns too
+        rows = dist[ids]
+        level = rows[:, ids]
+        if int(level.max()) <= floor():
+            continue
+        beyond = order[hi:]
+        # d(x, y) - d(u, y) = k; a difference of two int16 distances fits
+        member = (ds[hi:] - rows[:, beyond] == k).astype(np.float32)
+        yield ids, level, beyond, member
+
+
+def _witness(dist: np.ndarray, x: int, ecc: int, tau: int) -> ThinnessWitness:
     """The witness from the first y > x whose interval I(x, y) reaches tau.
 
     Only called for the first source whose levels reached tau; a hit there
     with y < x would have reached tau at the earlier source y, since I(x, y)
-    and I(y, x) are the same set with mirrored slices.
+    and I(y, x) are the same set with mirrored slices.  Its levels are
+    revisited at floor tau - 1.  Each level names its smallest such y and,
+    for that y, its row-major first pair at distance tau; the smallest
+    (y, pair) over the levels is the witness, because a level holding a pair
+    of I(x, y) at distance tau names y or a smaller id.
     """
-    dx = dist[x]
-    for y in range(x + 1, dist.shape[0]):
-        ids = np.nonzero(dx + dist[y] == dx[y])[0]
-        if ids.size <= 2:
+    found = None
+    for ids, level, beyond, member in _levels(dist, x, ecc, lambda: tau - 1):
+        far = level == tau
+        # hit[j]: some level pair at distance tau lies in I(x, beyond[j])
+        hit = (far.astype(np.float32) @ member * member).max(axis=0) > 0
+        later = np.nonzero(hit & (beyond > x))[0]
+        if not later.size:
             continue
-        ks = dx[ids]
-        vals = np.where(ks[:, None] == ks[None, :], dist[np.ix_(ids, ids)], -1)
-        hits = np.argwhere(vals == tau)
-        if hits.size:
-            # vals is symmetric with a zero diagonal, so the first hit has u < v
-            u, v = int(ids[hits[0, 0]]), int(ids[hits[0, 1]])
-            return ThinnessWitness((x, y), int(dx[u]), (u, v), tau)
-    raise AssertionError(f"source {x} reached thinness {tau} but no y > x does")
+        j = later[np.argmin(beyond[later])]
+        on = np.nonzero(member[:, j])[0]
+        # the block is symmetric with a zero diagonal, so its first hit has u < v
+        u, v = np.argwhere(far[on][:, on])[0]
+        cand = (int(beyond[j]), int(ids[on[u]]), int(ids[on[v]]))
+        if found is None or cand < found:
+            found = cand
+    if found is None:
+        raise AssertionError(f"source {x} reached thinness {tau} but no y > x does")
+    y, u, v = found
+    return ThinnessWitness((x, y), int(dist[x, u]), (u, v), tau)

@@ -8,6 +8,7 @@ package's distance matrix: ``helly_bruteforce`` and
 (``distinct_disks``, size-capped by ``EnumerationBudgetError``),
 ``triple_witness`` runs the vertex-triple test on its distance rows and
 disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
+``reorder_thinness`` batches them per source over a reordered matrix,
 ``all_pairs_hyperbolicity`` is the four-point scan over all of its pairs,
 ``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
 far-apart pairs,
@@ -432,6 +433,77 @@ def pair_loop_thinness(
                 best = mx
                 witness = ThinnessWitness((x, y), int(dx[u]), (u, v), mx)
     return best, witness
+
+
+def reorder_thinness(
+    g: Graph, *, dm: DistanceMatrix | None = None
+) -> tuple[int, ThinnessWitness]:
+    """Interval thinness over a reordered n x n distance matrix per source.
+
+    Each source gets one n x n membership matrix and, per distance level, one
+    matrix product; the witness rescans y = x+1, x+2, ... of the first
+    source that reaches tau, one |I(x, y)|^2 matrix per y.
+
+    The witness names the lexicographically first endpoints (x, y), x < y,
+    whose interval has a slice of diameter tau, that slice's index k = d(x, u),
+    and the row-major first pair u < v of that slice at distance tau.  When
+    tau is 0 the witness is ((0, 0), 0, (0, 0), 0).
+    """
+    dm = dm or apsp(g)
+    dist = dm.dist.astype(np.int32)  # sums of two int16 distances may not fit
+    best, first = 0, -1
+    for x in range(g.n):
+        ecc = int(dm.ecc[x])
+        # two level-k vertices of I(x, y) are at most 2 min(k, ecc - k) apart
+        if 2 * (ecc // 2) <= best:
+            continue
+        order = np.argsort(dist[x], kind="stable")
+        ds = dist[x, order]
+        d = dist[np.ix_(order, order)]
+        # level k of x occupies positions [starts[k], starts[k + 1])
+        starts = np.searchsorted(ds, np.arange(ecc + 1))
+        member = None
+        for k in range(1, ecc):
+            lo, hi = int(starts[k]), int(starts[k + 1])
+            if hi - lo < 2 or 2 * min(k, ecc - k) <= best:
+                continue
+            level = d[lo:hi, lo:hi]
+            if int(level.max()) <= best:
+                continue
+            if member is None:
+                # member[y, u]: u lies on a shortest (x, y)-path
+                member = (ds[:, None] == ds[None, :] + d).astype(np.float32)
+            # only endpoints y beyond level k can hold two level-k vertices
+            a = member[hi:, lo:hi]
+            shared = a.T @ a > 0
+            mx = int(np.where(shared, level, -1).max())
+            if mx > best:
+                best, first = mx, x
+    if best == 0:
+        return 0, ThinnessWitness((0, 0), 0, (0, 0), 0)
+    return best, _first_witness(dist, first, best)
+
+
+def _first_witness(dist: np.ndarray, x: int, tau: int) -> ThinnessWitness:
+    """The witness from the first y > x whose interval I(x, y) reaches tau.
+
+    Only called for the first source whose levels reached tau; a hit there
+    with y < x would have reached tau at the earlier source y, since I(x, y)
+    and I(y, x) are the same set with mirrored slices.
+    """
+    dx = dist[x]
+    for y in range(x + 1, dist.shape[0]):
+        ids = np.nonzero(dx + dist[y] == dx[y])[0]
+        if ids.size <= 2:
+            continue
+        ks = dx[ids]
+        vals = np.where(ks[:, None] == ks[None, :], dist[np.ix_(ids, ids)], -1)
+        hits = np.argwhere(vals == tau)
+        if hits.size:
+            # vals is symmetric with a zero diagonal, so the first hit has u < v
+            u, v = int(ids[hits[0, 0]]), int(ids[hits[0, 1]])
+            return ThinnessWitness((x, y), int(dx[u]), (u, v), tau)
+    raise AssertionError(f"source {x} reached thinness {tau} but no y > x does")
 
 
 def all_pairs_hyperbolicity(

@@ -82,6 +82,16 @@ def test_generate_missing_parameter_is_an_input_error(capsys) -> None:
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_hopeless_random_hull_is_an_input_error(capsys) -> None:
+    # at this prob a draw on 2,000 vertices is almost never connected
+    args = ["generate", "--family", "random-hull", "--n", "2000", "--prob", "0.0025"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: no connected G(2000,0.0025)")
+
+
 def test_generate_random_hull_is_deterministic(capsys) -> None:
     argv = ["generate", "--family", "random-hull", "--n", "5", "--seed", "3"]
     assert main(argv) == 0

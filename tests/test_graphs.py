@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from hellymetric import (
     strong_product,
     to_edge_list,
 )
+from hellymetric import graphs
 from hellymetric.graphs import random_connected_graph
 
 
@@ -89,6 +93,37 @@ def test_random_graph_is_deterministic_per_seed(seed: int) -> None:
     b = random_connected_graph(7, 0.35, seed)
     assert a.edge_set() == b.edge_set()
     assert a.is_connected()
+
+
+def test_hopeless_random_graph_is_refused_in_bounded_time() -> None:
+    # About 13.5 isolated vertices are expected, so a draw is almost never
+    # connected; 10,000 redraws would make 2 * 10^10 random draws, and the
+    # draw limit stops after 5 redraws of 1,999,000.
+    start = time.perf_counter()
+    with pytest.raises(GraphError, match="no connected G"):
+        random_connected_graph(2000, 5 / 1999, 1)
+    assert time.perf_counter() - start < 30
+
+
+def test_random_graph_draw_limit_counts_draws(monkeypatch) -> None:
+    made = []
+
+    class CountingRandom(random.Random):
+        def random(self) -> float:
+            made.append(1)
+            return super().random()
+
+    monkeypatch.setattr(graphs.random, "Random", CountingRandom)
+    monkeypatch.setattr(graphs, "_DRAW_LIMIT", 105)
+    # 10 pairs per redraw: 10 redraws fit under 105 draws, an 11th does not
+    with pytest.raises(GraphError):
+        random_connected_graph(5, 0.0, 1)
+    assert len(made) == 100
+    # one redraw is always made, even past the limit
+    made.clear()
+    monkeypatch.setattr(graphs, "_DRAW_LIMIT", 3)
+    assert random_connected_graph(5, 1.0, 1).m == 10
+    assert len(made) == 10
 
 
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=2, max_value=5))
