@@ -21,6 +21,12 @@ computes each shared quantity once, and reject non-Helly input.
 
 Witness corners are the quadruple the scan fired on; the materialized copy
 (always computed) lives in the witness alongside its cell layout.
+
+Every probe and the sun-tip test run one quadruple-pattern scanner,
+``_scan_quadruples``: per vertex x it tests all partners z at once with one
+matrix product over the side set of x, and searches only the first z that
+hits pair by pair, so its first quadruple is that of the (x, z) pair loop it
+replaced (the test oracle ``pair_loop_scan_quadruples``).
 """
 from __future__ import annotations
 
@@ -52,6 +58,10 @@ from .hyperbolicity import (
     hyperbolicity,
     interval_thinness,
 )
+
+
+# cap on each float32 temporary of one _scan_quadruples step, in bytes
+_SCAN_BYTES = 1 << 20
 
 
 class NotHellyError(Exception):
@@ -296,6 +306,13 @@ def _scan_quadruples(
     Scans x ascending, then z > x ascending, then takes the first hit of the
     upper triangle over the vertices whose distances to x and z both lie in
     ``side``, so y < t.
+
+    Per x, with ``ys`` the side set of x, ``sides`` = side_ok[zs, ys] over
+    the outer partners z > x and ``tile`` = inner_ok[ys, ys] with its
+    diagonal cleared, the row of ((sides @ tile) * sides) for z is nonzero
+    iff z has a hit (a pair y != t is a pair y < t read either way).  Only
+    the first z with a hit is searched pair by pair.  Column tiles and z
+    chunks of ``step`` keep every temporary within _SCAN_BYTES.
     """
     if outer[0] > dm.diam:
         return None
@@ -305,16 +322,26 @@ def _scan_quadruples(
         return (dist >= rng[0]) & (dist <= rng[1])
 
     outer_ok, side_ok, inner_ok = within(outer), within(side), within(inner)
+    np.fill_diagonal(inner_ok, False)
+    step = max(1, _SCAN_BYTES // (4 * dm.n))
     for x in range(dm.n):
-        zs = np.nonzero(outer_ok[x, x + 1 :])[0] + (x + 1)
-        for z in zs.tolist():
-            ids = np.nonzero(side_ok[x] & side_ok[z])[0]
-            if ids.size < 2:
-                continue
-            hits = np.argwhere(np.triu(inner_ok[np.ix_(ids, ids)], k=1))
-            if hits.size:
-                r, c = int(hits[0][0]), int(hits[0][1])
-                return x, int(ids[r]), z, int(ids[c])
+        zs = outer_ok[x, x + 1:].nonzero()[0]  # z - x - 1
+        ys = side_ok[x].nonzero()[0]
+        if zs.size == 0 or ys.size < 2:
+            continue
+        beyond = side_ok[x + 1:]
+        hit = np.zeros(zs.size, dtype=bool)
+        for c0 in range(0, ys.size, step):
+            # inner_ok is symmetric: its rows ys[c0:c0 + step] are these columns
+            tile = inner_ok[ys[c0:c0 + step]][:, ys].T.astype(np.float32)
+            for z0 in range(0, zs.size, step):
+                sides = beyond[zs[z0:z0 + step]][:, ys].astype(np.float32)
+                hit[z0:z0 + step] |= ((sides @ tile) * sides[:, c0:c0 + step]).any(1)
+        if hit.any():
+            z = x + 1 + int(zs[hit.argmax()])
+            ids = (side_ok[x] & side_ok[z]).nonzero()[0]
+            r, c = np.argwhere(np.triu(inner_ok[ids][:, ids], 1))[0]
+            return x, int(ids[r]), z, int(ids[c])
     return None
 
 

@@ -2,8 +2,8 @@
 
 The distance matrix is the workhorse of every scan in the package; it is
 computed once per graph and carries lazy caches of ball bitmasks (disk
-membership) and power-adjacency bitmasks, each packed from one row of the
-matrix.
+membership), each packed from one row of the matrix, and power-adjacency
+bitmasks, packed from a block of rows at once.
 
 ``apsp`` has two kernels.  The all-sources kernel runs the BFS from every
 source at once: row v of an n x ceil(n/64) matrix of 64-bit words holds one
@@ -43,7 +43,7 @@ class DistanceMatrix:
     Immutable after construction; safe to share across worker threads.
     """
 
-    __slots__ = ("n", "dist", "ecc", "diam", "rad", "_rows", "_balls", "_power_rows")
+    __slots__ = ("n", "dist", "ecc", "diam", "rad", "_balls", "_power_rows")
 
     def __init__(self, dist: np.ndarray) -> None:
         self.n = int(dist.shape[0])
@@ -51,13 +51,11 @@ class DistanceMatrix:
         self.ecc = dist.max(axis=1)
         self.diam = int(self.ecc.max())
         self.rad = int(self.ecc.min())
-        # plain python lists give much faster scalar access than ndarray items
-        self._rows: list[list[int]] = dist.tolist()
         self._balls: list[dict[int, int]] = [dict() for _ in range(self.n)]
         self._power_rows: dict[int, list[int]] = {}
 
     def d(self, u: int, v: int) -> int:
-        return self._rows[u][v]
+        return int(self.dist[u, v])
 
     def ball_bits(self, center: int, radius: int) -> int:
         """Bitmask of the disk D(center, radius); radius capped at ecc."""
@@ -76,17 +74,21 @@ class DistanceMatrix:
         """Per-vertex bitmasks of the ell-th power's adjacency (no self-bit).
 
         ell = 0 gives the empty graph, which makes window algebra uniform.
+        ``dist <= ell`` is packed a block of rows at a time, each block's bit
+        temporary capped at _UNPACK_BYTES.
         """
         ell = max(0, min(int(ell), self.diam))
         rows = self._power_rows.get(ell)
         if rows is None:
-            if ell == 0:
-                rows = [0] * self.n
-            else:
-                rows = []
-                for v in range(self.n):
-                    mask = self.ball_bits(v, ell) & ~(1 << v)
-                    rows.append(mask)
+            n = self.n
+            rows = []
+            step = max(1, _UNPACK_BYTES // n)
+            for r0 in range(0, n, step):
+                close = self.dist[r0:r0 + step] <= ell
+                own = np.arange(close.shape[0])
+                close[own, own + r0] = False
+                packed = np.packbits(close, axis=1, bitorder="little")
+                rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
             self._power_rows[ell] = rows
         return rows
 

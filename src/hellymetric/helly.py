@@ -38,6 +38,12 @@ failing, in the order (a), (b'), (c), (d): three disks for (a) and (b'),
 |T*| unit disks for (c), four unit disks for (d).  Exhaustive
 disk-enumeration oracles and the classical vertex-triple test in the test
 suite keep the decider honest on small graphs.
+
+(a) and (b') share one kernel, ``_interval_violation``, which takes the
+pairs (v, w) a block of consecutive v at a time and counts the common
+neighbours one step closer to every u with one batched matrix product per
+block; the per-vertex loop it replaced is the test oracle
+``vertex_loop_interval_violation``.
 """
 from __future__ import annotations
 
@@ -49,6 +55,10 @@ import numpy as np
 from .distances import DistanceMatrix, apsp
 from .graphs import Graph
 from .halfint import HalfInt
+
+
+# cap on the padded (v, slot, u) cells of one _interval_violation block
+_BLOCK_CELLS = 1 << 18
 
 
 class MedianSearchError(Exception):
@@ -154,30 +164,58 @@ def _interval_violation(
     such that no common neighbour of v and w lies at distance k-1 from u, the
     disks D(u,k-1), D(v,1), D(w,1); None if there is no such triple.
 
-    Per v, ``share`` marks which neighbours of v each partner w > v is
-    adjacent to; its product with the layer mask of N(v) counts, for every
-    (w, u), the common neighbours one step closer to u.
+    The pairs v < w are taken a block of consecutive v at a time.  Per block,
+    ``nbr`` lists the neighbours of each v, padded with v itself, and
+    ``partner`` its partners w > v, whose padding ``slots`` masks out.
+    ``down`` marks, per neighbour x and vertex u, that x is one step closer
+    to u than v; ``share`` marks which neighbours of v each partner is
+    adjacent to; so the batched product share @ down counts, for every
+    (v, w, u), the common neighbours one step closer to u.  The first block
+    is one v and each next block doubles, so an early violation stays cheap.
+    A block is cut to the longest run of v whose padded (v, slot, u) cells
+    fit _BLOCK_CELLS; a single v past the cap takes its partners in chunks
+    that fit it.
     """
     dist = dm.dist
-    adjacent = dist == 1
-    step = max(1, (1 << 20) // dm.n)  # partners per block: bounded temporaries
-    for v in range(dm.n - 1):
-        nv = list(g.neighbors[v])
-        partners = np.nonzero(dist[v, v + 1:] == gap)[0] + (v + 1)
-        if not nv or partners.size == 0:
+    n = dm.n
+    ids = np.arange(n)
+    v0, rows = 0, 1
+    while v0 < n - 1:
+        block = dist[v0:v0 + rows]
+        vs = ids[v0:v0 + block.shape[0]]
+        later = (block == gap) & (ids > vs[:, None])
+        count = later.sum(1)
+        nbrs = g.neighbors[v0:v0 + vs.size]
+        wide, most = max(map(len, nbrs)), int(count.max())
+        if vs.size * max(wide, most) * n > _BLOCK_CELLS:
+            # keep the longest run of v whose padded cells fit the cap
+            width = np.maximum.accumulate(np.maximum(count, list(map(len, nbrs))))
+            width *= np.arange(1, vs.size + 1)
+            b = max(1, int(np.count_nonzero(width <= _BLOCK_CELLS // n)))
+            block, vs, later, count, nbrs = block[:b], vs[:b], later[:b], count[:b], nbrs[:b]
+            wide, most = max(map(len, nbrs)), int(count.max())
+        v0, rows = v0 + vs.size, 2 * vs.size
+        if not most:
             continue
-        dv = dist[v]
-        down = (dist[nv] == dv - 1).astype(np.int32)
-        for lo in range(0, partners.size, step):
-            ws = partners[lo:lo + step]
-            share = adjacent[np.ix_(ws, nv)].astype(np.int32)
-            bad = (dist[ws] == dv) & ((share @ down) == 0)
-            if bad.any():
-                i, u = np.argwhere(bad)[0]
+        nbr = np.array([xs + (v,) * (wide - len(xs)) for v, xs in zip(vs.tolist(), nbrs)])
+        slots = ids[:most] < count[:, None]
+        partner = np.zeros(slots.shape, dtype=ids.dtype)  # padding: masked by slots
+        partner[slots] = later.nonzero()[1]
+        down = (dist[nbr] < block[:, None, :]).astype(np.float32)
+        step = max(1, _BLOCK_CELLS // (vs.size * n))
+        for lo in range(0, most, step):
+            ws = partner[:, lo:lo + step]
+            share = (dist[ws[:, :, None], nbr[:, None, :]] == 1).astype(np.float32)
+            bad = (dist[ws] == block[:, None, :]) & (share @ down == 0)
+            hit = bad.any(2) & slots[:, lo:lo + step]
+            first = int(hit.argmax())
+            if hit.flat[first]:
+                i, j = divmod(first, ws.shape[1])
+                u = int(bad[i, j].argmax())
                 return (
-                    DiskConstraint(int(u), int(dv[u]) - 1),
-                    DiskConstraint(v, 1),
-                    DiskConstraint(int(ws[i]), 1),
+                    DiskConstraint(u, int(block[i, u]) - 1),
+                    DiskConstraint(int(vs[i]), 1),
+                    DiskConstraint(int(ws[i, j]), 1),
                 )
     return None
 

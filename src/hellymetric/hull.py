@@ -93,7 +93,7 @@ def extremal_functions(
 
     order = _bfs_vertex_order(g)
     ecc = [int(dm.ecc[v]) for v in order]
-    rows = [[dm._rows[u][v] for v in order] for u in order]  # in search order
+    rows = dm.dist[np.ix_(order, order)].tolist()  # in search order
     leaves: list[tuple[int, ...]] = []
 
     def assign(pos: int, cur: list[int]) -> None:

@@ -13,8 +13,11 @@ disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
 ``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
 far-apart pairs,
 ``box_extremal_functions`` enumerates the hull's candidate box
-under the package's own budget pre-check, and ``find_isometric_embedding``
-searches its distance rows.
+under the package's own budget pre-check, ``find_isometric_embedding``
+searches its distance rows, ``pair_loop_scan_quadruples`` runs the
+quadruple-pattern scan one (x, z) pair at a time, and
+``vertex_loop_interval_violation`` tests conditions (a) and (b') one vertex
+v at a time.
 """
 from __future__ import annotations
 
@@ -336,7 +339,7 @@ def triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
     """
     n = dm.n
     dist = dm.dist
-    rows = dm._rows
+    rows = dist.tolist()
     ball = dm.ball_bits
     for a in range(n):
         da_np = dist[a]
@@ -718,7 +721,7 @@ def box_extremal_functions(
             )
 
     order = _bfs_vertex_order(g)
-    dist_rows = [dm._rows[v] for v in order]
+    dist_rows = dm.dist[order].tolist()
     ecc = [int(dm.ecc[v]) for v in order]
     candidates: list[tuple[int, ...]] = []
     vals = [0] * n
@@ -783,8 +786,8 @@ def find_isometric_embedding(
     pdm = pattern_dm or apsp(pattern)
     hdm = host_dm or apsp(host)
     order = _bfs_order(pattern)
-    pd = pdm._rows
-    hd = hdm._rows
+    pd = pdm.dist.tolist()
+    hd = hdm.dist.tolist()
     assignment: list[int] = [-1] * pattern.n
     used = [False] * host.n
 
@@ -828,3 +831,72 @@ def _bfs_order(g: Graph) -> list[int]:
                 seen[v] = True
                 order.append(v)
     return order
+
+
+def pair_loop_scan_quadruples(
+    dm: DistanceMatrix,
+    outer: tuple[int, int],
+    side: tuple[int, int],
+    inner: tuple[int, int],
+) -> tuple[int, int, int, int] | None:
+    """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four sides
+    in ``side`` and d(y,t) in ``inner``; each range is an inclusive (lo, hi).
+
+    Scans x ascending, then z > x ascending, then takes the first hit of the
+    upper triangle over the vertices whose distances to x and z both lie in
+    ``side``, so y < t.
+    """
+    if outer[0] > dm.diam:
+        return None
+    dist = dm.dist
+
+    def within(rng: tuple[int, int]) -> np.ndarray:
+        return (dist >= rng[0]) & (dist <= rng[1])
+
+    outer_ok, side_ok, inner_ok = within(outer), within(side), within(inner)
+    for x in range(dm.n):
+        zs = np.nonzero(outer_ok[x, x + 1 :])[0] + (x + 1)
+        for z in zs.tolist():
+            ids = np.nonzero(side_ok[x] & side_ok[z])[0]
+            if ids.size < 2:
+                continue
+            hits = np.argwhere(np.triu(inner_ok[np.ix_(ids, ids)], k=1))
+            if hits.size:
+                r, c = int(hits[0][0]), int(hits[0][1])
+                return x, int(ids[r]), z, int(ids[c])
+    return None
+
+
+def vertex_loop_interval_violation(
+    g: Graph, dm: DistanceMatrix, gap: int
+) -> tuple[DiskConstraint, ...] | None:
+    """For the first (u, v, w) with d(v,w) = ``gap`` and d(u,v) = d(u,w) = k
+    such that no common neighbour of v and w lies at distance k-1 from u, the
+    disks D(u,k-1), D(v,1), D(w,1); None if there is no such triple.
+
+    Per v, ``share`` marks which neighbours of v each partner w > v is
+    adjacent to; its product with the layer mask of N(v) counts, for every
+    (w, u), the common neighbours one step closer to u.
+    """
+    dist = dm.dist
+    adjacent = dist == 1
+    step = max(1, (1 << 20) // dm.n)  # partners per block: bounded temporaries
+    for v in range(dm.n - 1):
+        nv = list(g.neighbors[v])
+        partners = np.nonzero(dist[v, v + 1:] == gap)[0] + (v + 1)
+        if not nv or partners.size == 0:
+            continue
+        dv = dist[v]
+        down = (dist[nv] == dv - 1).astype(np.int32)
+        for lo in range(0, partners.size, step):
+            ws = partners[lo:lo + step]
+            share = adjacent[np.ix_(ws, nv)].astype(np.int32)
+            bad = (dist[ws] == dv) & ((share @ down) == 0)
+            if bad.any():
+                i, u = np.argwhere(bad)[0]
+                return (
+                    DiskConstraint(int(u), int(dv[u]) - 1),
+                    DiskConstraint(v, 1),
+                    DiskConstraint(int(ws[i]), 1),
+                )
+    return None

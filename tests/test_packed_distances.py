@@ -157,3 +157,14 @@ def test_ball_bits_and_power_rows_match_the_loop(g: Graph) -> None:
     for ell in range(dm.diam + 3):
         want = [loop_ball_bits(dm, v, ell) & ~(1 << v) for v in range(g.n)]
         assert dm.power_rows(ell) == want, ell
+
+
+def test_power_rows_packed_in_blocks_match_the_loop(monkeypatch) -> None:
+    # a 30-byte cap packs the 13 rows two at a time, so the cleared diagonal
+    # sits at a different offset in every block
+    monkeypatch.setattr(distances, "_UNPACK_BYTES", 30)
+    g = random_connected_graph(13, 0.3, 2)
+    dm = apsp(g)
+    for ell in range(dm.diam + 2):
+        want = [loop_ball_bits(dm, v, ell) & ~(1 << v) for v in range(g.n)]
+        assert dm.power_rows(ell) == want, ell
