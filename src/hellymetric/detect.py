@@ -312,7 +312,8 @@ def _scan_quadruples(
     diagonal cleared, the row of ((sides @ tile) * sides) for z is nonzero
     iff z has a hit (a pair y != t is a pair y < t read either way).  Only
     the first z with a hit is searched pair by pair.  Column tiles and z
-    chunks of ``step`` keep every temporary within _SCAN_BYTES.
+    chunks of ``step`` keep each of its float32 products within
+    _SCAN_BYTES.
     """
     if outer[0] > dm.diam:
         return None

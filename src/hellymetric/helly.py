@@ -192,15 +192,19 @@ def _interval_violation(
             width = np.maximum.accumulate(np.maximum(count, list(map(len, nbrs))))
             width *= np.arange(1, vs.size + 1)
             b = max(1, int(np.count_nonzero(width <= _BLOCK_CELLS // n)))
-            block, vs, later, count, nbrs = block[:b], vs[:b], later[:b], count[:b], nbrs[:b]
+            block, vs, later, count = block[:b], vs[:b], later[:b], count[:b]
+            nbrs = nbrs[:b]
             wide, most = max(map(len, nbrs)), int(count.max())
         v0, rows = v0 + vs.size, 2 * vs.size
         if not most:
             continue
-        nbr = np.array([xs + (v,) * (wide - len(xs)) for v, xs in zip(vs.tolist(), nbrs)])
+        nbr = np.array(
+            [xs + (v,) * (wide - len(xs)) for v, xs in zip(vs.tolist(), nbrs)]
+        )
         slots = ids[:most] < count[:, None]
         partner = np.zeros(slots.shape, dtype=ids.dtype)  # padding: masked by slots
         partner[slots] = later.nonzero()[1]
+        # a neighbour of v closer to u than v is exactly one step closer
         down = (dist[nbr] < block[:, None, :]).astype(np.float32)
         step = max(1, _BLOCK_CELLS // (vs.size * n))
         for lo in range(0, most, step):
