@@ -22,11 +22,13 @@ computes each shared quantity once, and reject non-Helly input.
 Witness corners are the quadruple the scan fired on; the materialized copy
 (always computed) lives in the witness alongside its cell layout.
 
-Every probe and the sun-tip test run one quadruple-pattern scanner,
-``_scan_quadruples``: per vertex x it tests all partners z at once with one
-matrix product over the side set of x, and searches only the first z that
-hits pair by pair, so its first quadruple is that of the (x, z) pair loop it
-replaced (the test oracle ``pair_loop_scan_quadruples``).
+Every probe, the sun-tip test, the power route and both 4-cycle tests run
+one quadruple-pattern scanner, ``_scan_quadruples``.  It reads each distance
+band as one Python-int bit row per vertex, cut from two cached power rows of
+``DistanceMatrix.power_rows``, and walks partners z of x and then pairs
+y < t of their common side band by their lowest set bits, so its first
+quadruple is that of the pair loop in the test oracle
+``pair_loop_scan_quadruples``.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distances import DistanceMatrix, apsp, graph_power
+from .distances import DistanceMatrix, apsp
 from .families import (
     Cell,
     cell_dist,
@@ -58,10 +60,6 @@ from .hyperbolicity import (
     hyperbolicity,
     interval_thinness,
 )
-
-
-# cap on each float32 temporary of one _scan_quadruples step, in bytes
-_SCAN_BYTES = 1 << 20
 
 
 class NotHellyError(Exception):
@@ -294,6 +292,14 @@ def _fits_window(
 # Pattern scans
 # ---------------------------------------------------------------------------
 
+def _band_rows(dm: DistanceMatrix, lo: int, hi: int) -> list[int]:
+    """Per-vertex bitmasks of the vertices at distance lo..hi, inclusive."""
+    near = dm.power_rows(hi)
+    if lo <= 0:
+        return [row | (1 << v) for v, row in enumerate(near)]
+    return [a & ~b for a, b in zip(near, dm.power_rows(lo - 1))]
+
+
 def _scan_quadruples(
     dm: DistanceMatrix,
     outer: tuple[int, int],
@@ -303,46 +309,32 @@ def _scan_quadruples(
     """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four sides
     in ``side`` and d(y,t) in ``inner``; each range is an inclusive (lo, hi).
 
-    Scans x ascending, then z > x ascending, then takes the first hit of the
-    upper triangle over the vertices whose distances to x and z both lie in
-    ``side``, so y < t.
-
-    Per x, with ``ys`` the side set of x, ``sides`` = side_ok[zs, ys] over
-    the outer partners z > x and ``tile`` = inner_ok[ys, ys] with its
-    diagonal cleared, the row of ((sides @ tile) * sides) for z is nonzero
-    iff z has a hit (a pair y != t is a pair y < t read either way).  Only
-    the first z with a hit is searched pair by pair.  Column tiles and z
-    chunks of ``step`` keep each of its float32 products within
-    _SCAN_BYTES.
+    Scans x ascending, then z > x ascending, then y ascending and t > y
+    ascending over the vertices whose distances to x and z both lie in
+    ``side``.  Each range is a bit row per vertex (``_band_rows``); the
+    partners z, the common side set and the t of each y are walked by their
+    lowest set bits, so no pair outside a band is ever visited.
     """
-    if outer[0] > dm.diam:
+    if max(outer[0], side[0], inner[0]) > dm.diam:
         return None
-    dist = dm.dist
-
-    def within(rng: tuple[int, int]) -> np.ndarray:
-        return (dist >= rng[0]) & (dist <= rng[1])
-
-    outer_ok, side_ok, inner_ok = within(outer), within(side), within(inner)
-    np.fill_diagonal(inner_ok, False)
-    step = max(1, _SCAN_BYTES // (4 * dm.n))
+    outer_rows = _band_rows(dm, *outer)
+    side_rows = _band_rows(dm, *side)
+    inner_rows = _band_rows(dm, *inner)
     for x in range(dm.n):
-        zs = outer_ok[x, x + 1:].nonzero()[0]  # z - x - 1
-        ys = side_ok[x].nonzero()[0]
-        if zs.size == 0 or ys.size < 2:
-            continue
-        beyond = side_ok[x + 1:]
-        hit = np.zeros(zs.size, dtype=bool)
-        for c0 in range(0, ys.size, step):
-            # inner_ok is symmetric: its rows ys[c0:c0 + step] are these columns
-            tile = inner_ok[ys[c0:c0 + step]][:, ys].T.astype(np.float32)
-            for z0 in range(0, zs.size, step):
-                sides = beyond[zs[z0:z0 + step]][:, ys].astype(np.float32)
-                hit[z0:z0 + step] |= ((sides @ tile) * sides[:, c0:c0 + step]).any(1)
-        if hit.any():
-            z = x + 1 + int(zs[hit.argmax()])
-            ids = (side_ok[x] & side_ok[z]).nonzero()[0]
-            r, c = np.argwhere(np.triu(inner_ok[ids][:, ids], 1))[0]
-            return x, int(ids[r]), z, int(ids[c])
+        sx = side_rows[x]
+        zs = outer_rows[x] >> (x + 1) << (x + 1)
+        while zs:
+            low = zs & -zs
+            zs ^= low
+            z = low.bit_length() - 1
+            m = sx & side_rows[z]
+            while m:
+                low = m & -m
+                m ^= low
+                y = low.bit_length() - 1
+                ts = m & inner_rows[y]
+                if ts:
+                    return x, y, z, (ts & -ts).bit_length() - 1
     return None
 
 
@@ -630,24 +622,6 @@ def hb_by_thinness(a: Analysis) -> HalfInt:
 # Half-hyperbolicity equivalents
 # ---------------------------------------------------------------------------
 
-def _has_induced_c4(g: Graph) -> bool:
-    n = g.n
-    adj = g.adj_bits
-    for x in range(n):
-        ax = adj[x]
-        for z in range(x + 1, n):
-            if (ax >> z) & 1:
-                continue
-            m = ax & adj[z]
-            while m:
-                low = m & -m
-                yv = low.bit_length() - 1
-                m ^= low
-                if m & ~adj[yv]:
-                    return True
-    return False
-
-
 def _has_sun_tip_pattern(dm: DistanceMatrix) -> bool:
     """Quadruple with cyclic side distances 2 and diagonal distances 3.
 
@@ -663,16 +637,17 @@ def half_hyperbolic_equivalents(a: Analysis) -> dict[str, bool]:
     * hyperbolicity_le_half: h <= 1/2 by the exact quadruple scan.
     * no_induced_c4_or_sun_tips: no induced 4-cycle (= isometric 4-cycle)
       and no side-2/diagonal-3 quadruple (= isometric complete 4-sun).
-    * g_and_square_c4_free: neither G nor its square has an induced 4-cycle.
+    * g_and_square_c4_free: neither G nor its square has an induced 4-cycle
+      (power windows [1, 1] and [2, 2]).
     * thinness_le_1_no_sun_tips: interval thinness at most 1 and no
       side-2/diagonal-3 quadruple.
     """
     _require_helly(a)
-    g, dm = a.g, a.dm
+    dm = a.dm
     hb, _ = a.hyperbolicity
-    c4 = _has_induced_c4(g)
+    c4 = _power_window(dm, 1, 1)
     sun_tips = _has_sun_tip_pattern(dm)
-    c4_sq = _has_induced_c4(graph_power(g, 2, dm=dm)) if dm.diam >= 2 else False
+    c4_sq = _power_window(dm, 2, 2)
     tau, _ = a.thinness
     return {
         "hyperbolicity_le_half": hb <= HalfInt(1),
@@ -689,14 +664,15 @@ def half_hyperbolic_equivalents(a: Analysis) -> dict[str, bool]:
 def power_characterization(a: Analysis, threshold: HalfInt | int) -> bool:
     """Decide "hyperbolicity <= threshold" purely from power-graph 4-cycles.
 
-    Works on power adjacency bitmasks only: a labeled 4-cycle lives in
-    every power G^l for l in [A, B] iff its sides are edges of G^A and its
-    diagonals are non-edges of G^B.  For a half threshold k + 1/2 the test
-    is the absence of such windows [k+1, 2k+1] and [k+2, 2k+2]; for an
-    integer threshold k it is the absence of a quadruple with sides in
-    G^(k+1), one diagonal exactly 2k+1 and the other beyond 2k+1 (a diamond
-    split across consecutive powers).  Provably equal to the direct value
-    on Helly graphs; non-Helly input is rejected.
+    A labeled 4-cycle lives in every power G^l for l in [A, B] iff its
+    sides are edges of G^A and its diagonals are non-edges of G^B, so each
+    window is one ``_scan_quadruples`` call with side band 1..A and both
+    diagonal bands B+1..diam, cut from the power adjacency rows.  For a
+    half threshold k + 1/2 the test is the absence of windows [k+1, 2k+1]
+    and [k+2, 2k+2]; for an integer threshold k it is the absence of a
+    quadruple with sides in G^(k+1), one diagonal exactly 2k+1 and the other
+    beyond 2k+1 (a diamond split across consecutive powers).  Provably equal
+    to the direct value on Helly graphs; non-Helly input is rejected.
     """
     t = HalfInt.coerce(threshold)
     if t < 0:
@@ -713,46 +689,12 @@ def power_characterization(a: Analysis, threshold: HalfInt | int) -> bool:
 
 def _power_window(dm: DistanceMatrix, a: int, b: int) -> bool:
     """Is there a labeled 4-cycle common to all powers G^l, a <= l <= b?"""
-    n = dm.n
-    ea = dm.power_rows(a)
-    eb = dm.power_rows(b)
-    full = (1 << n) - 1
-    for x in range(n):
-        far = (full & ~eb[x] & ~(1 << x)) >> (x + 1)
-        z = x + 1
-        while far:
-            if far & 1:
-                m = ea[x] & ea[z]
-                while m:
-                    low = m & -m
-                    yv = low.bit_length() - 1
-                    m ^= low
-                    if m & ~eb[yv]:
-                        return True
-            far >>= 1
-            z += 1
-    return False
+    far = (b + 1, dm.diam)
+    return _scan_quadruples(dm, far, (1, a), far) is not None
 
 
 def _power_split_diagonal(dm: DistanceMatrix, k: int) -> bool:
     """Sides within k+1, one diagonal exactly 2k+1, the other beyond it?"""
-    n = dm.n
-    ea = dm.power_rows(k + 1)
-    e_hi = dm.power_rows(2 * k + 1)
-    e_lo = dm.power_rows(2 * k)
-    for y in range(n):
-        exact = (e_hi[y] & ~e_lo[y]) >> (y + 1)
-        t = y + 1
-        while exact:
-            if exact & 1:
-                common = ea[y] & ea[t]
-                m = common
-                while m:
-                    low = m & -m
-                    xv = low.bit_length() - 1
-                    m ^= low
-                    if common & ~e_hi[xv] & ~(1 << xv):
-                        return True
-            exact >>= 1
-            t += 1
-    return False
+    diag = 2 * k + 1
+    quad = _scan_quadruples(dm, (diag, diag), (1, k + 1), (diag + 1, dm.diam))
+    return quad is not None

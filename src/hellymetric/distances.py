@@ -73,9 +73,12 @@ class DistanceMatrix:
     def power_rows(self, ell: int) -> list[int]:
         """Per-vertex bitmasks of the ell-th power's adjacency (no self-bit).
 
-        ell = 0 gives the empty graph, which makes window algebra uniform.
-        ``dist <= ell`` is packed a block of rows at a time, each block's bit
-        temporary capped at _UNPACK_BYTES.
+        ell = 0 gives the empty graph, so the vertices at distance lo..hi
+        from v are always ``power_rows(hi)[v] & ~power_rows(lo - 1)[v]`` (plus
+        v itself when lo = 0); the quadruple scanner of ``detect`` cuts its
+        distance bands this way.  Each power is packed once and cached:
+        ``dist <= ell`` a block of rows at a time, each block's bit temporary
+        capped at _UNPACK_BYTES.
         """
         ell = max(0, min(int(ell), self.diam))
         rows = self._power_rows.get(ell)

@@ -374,7 +374,4 @@ def find_median(
 
 
 def _mask_to_bits(mask: np.ndarray) -> int:
-    bits = 0
-    for v in np.nonzero(mask)[0].tolist():
-        bits |= 1 << v
-    return bits
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")

@@ -15,9 +15,11 @@ far-apart pairs,
 ``box_extremal_functions`` enumerates the hull's candidate box
 under the package's own budget pre-check, ``find_isometric_embedding``
 searches its distance rows, ``pair_loop_scan_quadruples`` runs the
-quadruple-pattern scan one (x, z) pair at a time, and
+quadruple-pattern scan one (x, z) pair at a time,
 ``vertex_loop_interval_violation`` tests conditions (a) and (b') one vertex
-v at a time.
+v at a time, and ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
+and ``bit_walk_c4_flags`` step through its power rows, and through the
+adjacency of G and of a built G^2, one bit position at a time.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from hellymetric import (
     PseudoModularCheck,
     ThinnessWitness,
     apsp,
+    graph_power,
 )
 from hellymetric.hull import HullBudgetError, _bfs_vertex_order, _resolve_budget
 from hellymetric.hyperbolicity import (
@@ -900,3 +903,75 @@ def vertex_loop_interval_violation(
                     DiskConstraint(int(ws[i]), 1),
                 )
     return None
+
+
+def bit_walk_power_window(dm: DistanceMatrix, a: int, b: int) -> bool:
+    """Is there a labeled 4-cycle common to all powers G^l, a <= l <= b?"""
+    n = dm.n
+    ea = dm.power_rows(a)
+    eb = dm.power_rows(b)
+    full = (1 << n) - 1
+    for x in range(n):
+        far = (full & ~eb[x] & ~(1 << x)) >> (x + 1)
+        z = x + 1
+        while far:
+            if far & 1:
+                m = ea[x] & ea[z]
+                while m:
+                    low = m & -m
+                    yv = low.bit_length() - 1
+                    m ^= low
+                    if m & ~eb[yv]:
+                        return True
+            far >>= 1
+            z += 1
+    return False
+
+
+def bit_walk_power_split_diagonal(dm: DistanceMatrix, k: int) -> bool:
+    """Sides within k+1, one diagonal exactly 2k+1, the other beyond it?"""
+    n = dm.n
+    ea = dm.power_rows(k + 1)
+    e_hi = dm.power_rows(2 * k + 1)
+    e_lo = dm.power_rows(2 * k)
+    for y in range(n):
+        exact = (e_hi[y] & ~e_lo[y]) >> (y + 1)
+        t = y + 1
+        while exact:
+            if exact & 1:
+                common = ea[y] & ea[t]
+                m = common
+                while m:
+                    low = m & -m
+                    xv = low.bit_length() - 1
+                    m ^= low
+                    if common & ~e_hi[xv] & ~(1 << xv):
+                        return True
+            exact >>= 1
+            t += 1
+    return False
+
+
+def _has_induced_c4(g: Graph) -> bool:
+    n = g.n
+    adj = g.adj_bits
+    for x in range(n):
+        ax = adj[x]
+        for z in range(x + 1, n):
+            if (ax >> z) & 1:
+                continue
+            m = ax & adj[z]
+            while m:
+                low = m & -m
+                yv = low.bit_length() - 1
+                m ^= low
+                if m & ~adj[yv]:
+                    return True
+    return False
+
+
+def bit_walk_c4_flags(g: Graph, dm: DistanceMatrix) -> tuple[bool, bool]:
+    """Has G an induced 4-cycle; has G^2 one (G^2 built as a graph)?"""
+    c4 = _has_induced_c4(g)
+    c4_sq = _has_induced_c4(graph_power(g, 2, dm=dm)) if dm.diam >= 2 else False
+    return c4, c4_sq

@@ -1,11 +1,11 @@
 """The batched Helly-side kernels against their loop oracles.
 
-``detect._scan_quadruples`` tests every z of one x with one matrix product,
-and ``helly._interval_violation`` tests conditions (a) and (b') a block of
+``detect._scan_quadruples`` walks the bit rows of its distance bands, and
+``helly._interval_violation`` tests conditions (a) and (b') a block of
 vertices at a time.  Both must return exactly what the loops they replaced
 return (``pair_loop_scan_quadruples`` and
-``vertex_loop_interval_violation`` in ``oracles``), with their temporaries
-tiled under a byte cap.
+``vertex_loop_interval_violation`` in ``oracles``), the interval blocks
+tiled under a cell cap.
 """
 from __future__ import annotations
 
@@ -109,20 +109,17 @@ def test_interval_violation_matches_the_vertex_loop() -> None:
     assert_intervals_match(LADDER + LARGE + RANDOM)
 
 
-@pytest.mark.parametrize("cells, scan_bytes", [(1, 4), (200, 64), (5_000, 400)])
-def test_tiny_caps_match_the_loops(monkeypatch, cells, scan_bytes) -> None:
-    # one v per block with its partners one at a time, then blocks cut short;
-    # scan tiles of one to a hundred columns and rows
+@pytest.mark.parametrize("cells", [1, 200, 5_000])
+def test_tiny_caps_match_the_loops(monkeypatch, cells) -> None:
+    # one v per block with its partners one at a time, then blocks cut short
     monkeypatch.setattr(helly, "_BLOCK_CELLS", cells)
-    monkeypatch.setattr(detect, "_SCAN_BYTES", scan_bytes)
-    graphs = LADDER[::5] + RANDOM[::3] + [king_grid(9, 11)]
-    assert_intervals_match(graphs)
-    assert_scans_match(graphs)
+    assert_intervals_match(LADDER[::5] + RANDOM[::3] + [king_grid(9, 11)])
 
 
 def test_kernels_peak_allocation_is_capped() -> None:
-    # king 30 x 30: the int16 matrix alone is 1.6 MB.  The scan keeps three
-    # n x n boolean masks (2.4 MB) and float32 tiles of at most 1 MB; the
+    # king 30 x 30: the int16 matrix alone is 1.6 MB.  The two scans cache
+    # seven powers of 900 bit rows (0.8 MB in all), each packed from one
+    # 0.8 MB boolean block, and cut three bands of 900 rows per call; the
     # interval blocks hold at most 2^18 padded cells.
     g = king_grid(30, 30)
     dm = apsp(g)
