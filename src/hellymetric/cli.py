@@ -9,16 +9,14 @@ Exit codes, used consistently by every subcommand:
 * 3 — certified absence (detect found no witness on a Helly input)
 * 4 — precondition warning (non-Helly input, enumeration budget exceeded)
 
-Environment: HELLYMETRIC_THREADS sets the default worker count for the
-hyperbolicity scan (an integer >= 1; any other value exits 1);
-HELLYMETRIC_HULL_BUDGET caps hull enumeration size.
+Environment: HELLYMETRIC_HULL_BUDGET caps hull enumeration size (an
+integer >= 1; any other value exits 1).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -39,6 +37,7 @@ from .graphs import (
     GraphError,
     king_grid,
     load_graph,
+    positive_int,
     random_connected_graph,
     to_edge_list,
 )
@@ -53,25 +52,11 @@ from .report import (
     witness_to_dict,
 )
 
-_THREADS_ENV = "HELLYMETRIC_THREADS"
-
-
-def _default_threads() -> int:
-    """$HELLYMETRIC_THREADS, or 1 when unset; a bad value is a bad parameter."""
-    try:
-        return _positive_int(os.environ.get(_THREADS_ENV, "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"{_THREADS_ENV}: {exc}") from None
-
-
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        return positive_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,9 +84,8 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    threads = _default_threads() if args.threads is None else args.threads
     g = _read_graph(args.path)
-    report = build_analysis(g, threads=threads, include_hull=not args.no_hull)
+    report = build_analysis(g, include_hull=not args.no_hull)
 
     lines = [
         f"graph: {report.name}  n={report.n} m={report.m} "
@@ -356,9 +340,8 @@ def cmd_power(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    threads = _default_threads()
     g = _read_graph(args.path)
-    results = verify_claims(g, threads=threads)
+    results = verify_claims(g)
     width = max(len(r.claim) for r in results)
     for r in results:
         sys.stdout.write(f"{r.status:<4} {r.claim:<{width}}  {r.detail}\n")
@@ -376,8 +359,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; defaults read from the
-    environment are resolved by each command, not here."""
+    """The parser, built once per process."""
     p = _Parser(
         prog="hellymetric",
         description="Exact hyperbolicity, obstruction, and hull analysis "
@@ -390,8 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--threads",
         type=_positive_int,
-        default=None,
-        help=f"at least 1; default: ${_THREADS_ENV} or 1",
+        help="has no effect (the scan is serial); accepted for compatibility, "
+        "at least 1",
     )
     pa.add_argument("--json", default=None, help="write a JSON report here ('-' for stdout)")
     pa.add_argument("--no-hull", action="store_true", help="skip the hull phase")

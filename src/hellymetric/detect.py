@@ -527,13 +527,11 @@ class Analysis:
 
     Helly recognition, the hyperbolicity scan, interval thinness and each
     obstruction probe are computed on first use and kept, so every route
-    that reads one of them shares a single computation.  ``threads`` is the
-    worker count of the hyperbolicity scan.
+    that reads one of them shares a single computation.
     """
 
-    def __init__(self, g: Graph, *, threads: int) -> None:
+    def __init__(self, g: Graph) -> None:
         self.g = g
-        self.threads = threads
         self.dm = apsp(g)
         self._probes: dict[int, ObstructionWitness | None] = {}
 
@@ -543,7 +541,7 @@ class Analysis:
 
     @cached_property
     def hyperbolicity(self) -> tuple[HalfInt, HyperbolicityWitness]:
-        return hyperbolicity(self.g, dm=self.dm, threads=self.threads)
+        return hyperbolicity(self.g, dm=self.dm)
 
     @cached_property
     def thinness(self) -> tuple[int, ThinnessWitness]:

@@ -40,7 +40,7 @@ _UNPACK_BYTES = 1 << 22
 class DistanceMatrix:
     """Dense exact distances plus eccentricities, diameter, radius.
 
-    Immutable after construction; safe to share across worker threads.
+    Immutable after construction.
     """
 
     __slots__ = ("n", "dist", "ecc", "diam", "rad", "_balls", "_power_rows")
@@ -231,13 +231,12 @@ def is_isometric(
     vs = sorted(set(vertices))
     sub, index = induced_subgraph(g, vs)
     dm = dm or apsp(g)
-    if not sub.is_connected():
-        # find a pair in different components for the witness
-        comp = _component_of(sub)
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                if comp[i] != comp[j]:
-                    return False, (vs[i], vs[j])
+    # the first split pair in row-major order is vs[0] and the lowest vertex
+    # vs[0] does not reach; j == len(vs) when the subgraph is connected
+    reach = sub.component_bits()
+    j = ((reach + 1) & ~reach).bit_length() - 1
+    if j < len(vs):
+        return False, (vs[0], vs[j])
     sub_dm = apsp(sub)
     host = dm.dist[np.ix_(vs, vs)].astype(np.int64)
     inner = sub_dm.dist.astype(np.int64)
@@ -246,22 +245,3 @@ def is_isometric(
         i, j = int(bad[0][0]), int(bad[0][1])
         return False, (vs[i], vs[j])
     return True, None
-
-
-def _component_of(g: Graph) -> list[int]:
-    comp = [-1] * g.n
-    cid = 0
-    for s in range(g.n):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors[u]:
-                if comp[v] == -1:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    return comp
-

@@ -91,11 +91,11 @@ class Graph:
         return len(self.neighbors[v])
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        full = (1 << self.n) - 1
-        reached = 1
-        frontier = 1
+        return self.component_bits() == (1 << self.n) - 1
+
+    def component_bits(self) -> int:
+        """Bitmask of the vertices in the component of vertex 0."""
+        reached = frontier = 1
         adj = self.adj_bits
         while frontier:
             nxt = 0
@@ -106,7 +106,7 @@ class Graph:
                 m ^= low
             frontier = nxt & ~reached
             reached |= frontier
-        return reached == full
+        return reached
 
     def reduce_neighbors(self, ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
         """out[v] = ufunc.reduce(table[N(v)], axis=0) for every vertex v.
@@ -153,12 +153,22 @@ class Graph:
 # Edge-list I/O
 # ---------------------------------------------------------------------------
 
-def load_graph(text: str, *, require_connected: bool = True, name: str = "") -> Graph:
+def positive_int(text: str) -> int:
+    """The integer ``text`` spells; ValueError unless it is at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
+def load_graph(text: str, *, name: str = "") -> Graph:
     """Parse an edge-list document: one "u v" pair per line, '#' comments.
 
     Vertices are 0..max-id.  Duplicate edges collapse; self-loops, non-integer
-    tokens and empty edge sets are errors, as is a disconnected graph when
-    ``require_connected`` (the default for analysis inputs).  The graph is
+    tokens, empty edge sets and disconnected graphs are errors.  The graph is
     called ``name``.
     """
     edges: list[tuple[int, int]] = []
@@ -183,7 +193,7 @@ def load_graph(text: str, *, require_connected: bool = True, name: str = "") -> 
     if not edges:
         raise GraphError("empty edge set")
     g = Graph(max_id + 1, edges, name=name)
-    if require_connected and not g.is_connected():
+    if not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")
     return g
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .detect import Analysis
 from .distances import DistanceMatrix, apsp
-from .graphs import Graph
+from .graphs import Graph, positive_int
 
 DEFAULT_HULL_BUDGET = 10_000_000
 _BUDGET_ENV = "HELLYMETRIC_HULL_BUDGET"
@@ -48,7 +48,13 @@ class HullResult:
 def _resolve_budget(budget: int | None) -> int:
     if budget is not None:
         return int(budget)
-    return int(os.environ.get(_BUDGET_ENV, DEFAULT_HULL_BUDGET))
+    text = os.environ.get(_BUDGET_ENV)
+    if text is None:
+        return DEFAULT_HULL_BUDGET
+    try:
+        return positive_int(text)
+    except ValueError as exc:
+        raise ValueError(f"{_BUDGET_ENV}: {exc}") from None
 
 
 def extremal_functions(
@@ -178,7 +184,7 @@ def hull_validate(a: Analysis, *, result: HullResult | None = None) -> dict[str,
       h+1, the probe on the hull fires exactly when h exceeds the threshold.
     """
     res = result or hull(a.g, dm=a.dm)
-    ha = Analysis(res.graph, threads=a.threads)
+    ha = Analysis(res.graph)
     checks: dict[str, bool] = {}
 
     helly_ok = bool(ha.helly)

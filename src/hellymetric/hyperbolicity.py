@@ -15,8 +15,7 @@ The scan runs in two passes over the far-apart pairs.  The value pass sweeps
 them in decreasing distance order and keeps only the running maximum gap:
 a pair at distance <= best cannot lie in a larger gap, so the sweep stops at
 the first chunk of 64 outer pairs whose first distance is <= best, and each
-chunk pairs only with the pairs above best.  It runs its chunks on
-``threads`` workers, which share nothing but that maximum.  The witness pass
+chunk pairs only with the pairs above best.  The witness pass
 (B = the value found) keeps the pairs at distance >= B, sorts them by
 (u, v), and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
 pairs whose first vertex is > a, and the walk stops at the first a with a
@@ -28,10 +27,9 @@ maximizers visited at that pairing, and the smallest vertex of such a
 quadruple is the first vertex of one of its two pairs while the other pair
 lies wholly above it, so no maximizer has a smaller first vertex than the
 first a with a hit, and each one whose first vertex is a is a hit at a.  The
-witness is independent of ``threads``; it need not be the smallest maximizer
-over all quadruples.  Both passes tile their inner pairs in blocks of
-``_TILE`` columns, so their temporaries are at most 64 x ``_TILE`` integers
-whatever the graph size.
+witness need not be the smallest maximizer over all quadruples.  Both passes
+tile their inner pairs in blocks of ``_TILE`` columns, so their temporaries
+are at most 64 x ``_TILE`` integers whatever the graph size.
 
 Interval thinness is batched per source x and level k.  With A[u, y] true
 when u lies on a shortest (x, y)-path, two vertices u, v of the level L_k(x)
@@ -53,8 +51,6 @@ source y.
 """
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -189,15 +185,14 @@ def _gaps(
 
 
 def hyperbolicity(
-    g: Graph, *, dm: DistanceMatrix | None = None, threads: int = 1
+    g: Graph, *, dm: DistanceMatrix | None = None
 ) -> tuple[HalfInt, HyperbolicityWitness]:
     """Exact maximum quadruple delta, scanning far-apart pairs only.
 
-    A value pass finds twice the delta B, parallel over ``threads``; a
-    serial witness pass then walks the smallest vertex a upwards and
-    returns the lexicographically smallest sorted maximizing quadruple
-    whose largest-sum pairing is two far-apart pairs (see the module
-    docstring); with delta 0 it is (0, 0, 0, 0).
+    A value pass finds twice the delta B; a witness pass then walks the
+    smallest vertex a upwards and returns the lexicographically smallest
+    sorted maximizing quadruple whose largest-sum pairing is two far-apart
+    pairs (see the module docstring); with delta 0 it is (0, 0, 0, 0).
     """
     dm = dm or apsp(g)
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
@@ -208,7 +203,7 @@ def hyperbolicity(
     iu, iv = (a.astype(np.int32) for a in np.nonzero(np.triu(_far_apart(g, dist), 1)))
     duv = dist[iu, iv].astype(np.int32)
     d32 = dist.astype(np.int32)
-    best = _value_pass(d32, iu, iv, duv, threads)
+    best = _value_pass(d32, iu, iv, duv)
     if best == 0:
         return HalfInt(0), zero_witness
     q = _witness_pass(d32, iu, iv, duv, best)
@@ -219,43 +214,26 @@ def hyperbolicity(
 
 
 def _value_pass(
-    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray, threads: int
+    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray
 ) -> int:
     """Twice the delta: the largest gap over pairs of pairs, both above it."""
     order = np.argsort(-duv, kind="stable")
     u_arr, v_arr, d_arr = iu[order], iv[order], duv[order]
-    npairs = d_arr.shape[0]
-    state = {"best": 0}
-    lock = threading.Lock()
-
-    def scan_chunk(i0: int) -> None:
-        i1 = min(i0 + _CHUNK, npairs)
-        best_now = state["best"]
-        if d_arr[i0] <= best_now:
-            return
+    best = 0
+    for i0 in range(0, d_arr.shape[0], _CHUNK):
+        if d_arr[i0] <= best:
+            break
+        i1 = min(i0 + _CHUNK, d_arr.shape[0])
         # a pair at distance <= best cannot lie in a gap above best
-        jmax = min(int(np.searchsorted(-d_arr, -best_now, side="left")), i1)
+        jmax = min(int(np.searchsorted(-d_arr, -best, side="left")), i1)
         U, V, DUV = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
         # a pairing visited twice, once from each of its pairs, only repeats
         # its gap, so the columns may reach past the diagonal up to i1
         for j0 in range(0, jmax, _TILE):
             j1 = min(j0 + _TILE, jmax)
             gap = _gaps(d32, U, V, DUV, u_arr[j0:j1], v_arr[j0:j1], d_arr[j0:j1])
-            mx = int(gap.max())
-            if mx > state["best"]:
-                with lock:
-                    state["best"] = max(state["best"], mx)
-
-    chunk_starts = range(0, npairs, _CHUNK)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(scan_chunk, chunk_starts))
-    else:
-        for i0 in chunk_starts:
-            if d_arr[i0] <= state["best"]:
-                break
-            scan_chunk(i0)
-    return state["best"]
+            best = max(best, int(gap.max()))
+    return best
 
 
 def _witness_pass(

@@ -74,12 +74,7 @@ def _equivalents_agree(eq: dict[str, bool], hb: HalfInt) -> bool:
     return set(eq.values()) == {hb <= HalfInt(1)}
 
 
-def build_analysis(
-    g: Graph,
-    *,
-    threads: int = 1,
-    include_hull: bool = True,
-) -> AnalysisReport:
+def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     """Run every analysis phase on one connected graph.
 
     On non-Helly input the derived classifiers, the probe sweep, and the
@@ -90,7 +85,7 @@ def build_analysis(
     """
     timings: dict[str, int] = {}
     t0 = time.perf_counter()
-    a = Analysis(g, threads=threads)
+    a = Analysis(g)
     dm = a.dm
     timings["apsp"] = _since(t0)
 
@@ -269,14 +264,13 @@ class ClaimResult:
     detail: str
 
 
-def verify_claims(g: Graph, *, threads: int = 1) -> list[ClaimResult]:
+def verify_claims(g: Graph) -> list[ClaimResult]:
     """Check the six cross-route identities on one Helly graph.
 
     Non-Helly input yields SKIP for every claim (the identities are only
-    asserted for Helly graphs).  ``threads`` is the worker count of the
-    hyperbolicity scan.
+    asserted for Helly graphs).
     """
-    a = Analysis(g, threads=threads)
+    a = Analysis(g)
     if not a.helly:
         return [
             ClaimResult(cid, "SKIP", "input graph is not Helly")

@@ -171,7 +171,7 @@ def test_criterion_3_thinness_window(atlas_helly, hull_corpus, report) -> None:
 def test_criterion_4_classifier_agreement(atlas_helly, hull_corpus, report) -> None:
     t0 = time.perf_counter()
     for g in atlas_helly + hull_corpus:
-        a = Analysis(g, threads=1)
+        a = Analysis(g)
         hb, _ = a.hyperbolicity
         assert hb_by_obstructions(a) == hb
         assert hb_by_thinness(a) == hb
@@ -202,7 +202,7 @@ def test_criterion_5_hull_end_to_end(report) -> None:
         prob = 0.3 + 0.05 * (seed % 4)
         g = random_connected_graph(n, prob, seed)
         try:
-            checks = hull_validate(Analysis(g, threads=1))
+            checks = hull_validate(Analysis(g))
         except HullBudgetError:
             continue
         assert all(checks.values()), (seed, checks)
@@ -284,7 +284,7 @@ def test_criterion_7_performance_floor(tmp_path, capsys, report) -> None:
     path = tmp_path / "king10.edges"
     path.write_text(to_edge_list(king_grid(10, 10)), encoding="utf-8")
     t0 = time.perf_counter()
-    code = cli_main(["analyze", str(path), "--threads", "4"])
+    code = cli_main(["analyze", str(path)])
     analyze_s = time.perf_counter() - t0
     capsys.readouterr()
     assert code == 0
@@ -292,7 +292,7 @@ def test_criterion_7_performance_floor(tmp_path, capsys, report) -> None:
 
     g = king_grid(15, 20)
     t0 = time.perf_counter()
-    hb, _ = hyperbolicity(g, threads=4)
+    hb, _ = hyperbolicity(g)
     scan_s = time.perf_counter() - t0
     assert hb == HalfInt.from_int(7)
     assert scan_s <= 60.0

@@ -305,6 +305,19 @@ def test_hull_budget_refusal(tmp_path, capsys, monkeypatch) -> None:
     assert "hull enumeration refused" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["abc", "0", "-5"])
+@pytest.mark.parametrize("command", ["analyze", "hull"])
+def test_bad_hull_budget_is_an_input_error(
+    tmp_path, capsys, monkeypatch, command, bad
+) -> None:
+    monkeypatch.setenv("HELLYMETRIC_HULL_BUDGET", bad)
+    path = write_graph(tmp_path, "c6.edges", cycle_graph(6))
+    assert main([command, path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: HELLYMETRIC_HULL_BUDGET: ")
+
+
 # ---------------------------------------------------------------------------
 # power
 # ---------------------------------------------------------------------------
@@ -438,64 +451,14 @@ def test_read_graph_builds_the_graph_once(tmp_path, monkeypatch) -> None:
     assert sorted(g.edges()) == sorted(king_grid(3, 4).edges())
 
 
-def test_threads_environment_variable(tmp_path, capsys, monkeypatch) -> None:
-    path = write_graph(tmp_path, "king33.edges", king_grid(3, 3))
-    monkeypatch.setenv("HELLYMETRIC_THREADS", "4")
-    assert main(["analyze", path, "--no-hull"]) == 0
-    capsys.readouterr()
-    # a bad value is a bad parameter, as it is for --threads: exit 1, one line
-    for bad in ("0", "-3", "abc"):
-        monkeypatch.setenv("HELLYMETRIC_THREADS", bad)
-        for argv in (["analyze", path, "--no-hull"], ["verify", path]):
-            assert main(argv) == 1
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err.count("\n") == 1 and "HELLYMETRIC_THREADS" in err
-    # --threads is given, so the variable is not read
-    assert main(["analyze", path, "--no-hull", "--threads", "2"]) == 0
-
-
-def test_analyze_reads_threads_environment_variable_on_each_call(
-    tmp_path, capsys, monkeypatch
-) -> None:
-    import hellymetric.detect as detect
-
+def test_threads_flag_changes_no_output(tmp_path, capsys) -> None:
     path = write_graph(tmp_path, "king45.edges", king_grid(4, 5))
-    scan = detect.hyperbolicity
-    seen: list[int] = []
-
-    def recording(g, **kwargs):
-        seen.append(kwargs["threads"])
-        return scan(g, **kwargs)
-
-    monkeypatch.setattr(detect, "hyperbolicity", recording)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HELLYMETRIC_THREADS", threads)
-        assert main(["analyze", path, "--no-hull"]) == 0
-        capsys.readouterr()
-    assert seen == [1, 2]
-    assert main(["analyze", path, "--no-hull", "--threads", "1"]) == 0
-    assert seen == [1, 2, 1]
-
-
-def test_verify_honours_threads_environment_variable(
-    tmp_path, capsys, monkeypatch
-) -> None:
-    import hellymetric.detect as detect
-
-    path = write_graph(tmp_path, "king45.edges", king_grid(4, 5))
-    scan = detect.hyperbolicity
-    seen: list[int] = []
-
-    def recording(g, **kwargs):
-        seen.append(kwargs["threads"])
-        return scan(g, **kwargs)
-
-    monkeypatch.setattr(detect, "hyperbolicity", recording)
-    outs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HELLYMETRIC_THREADS", threads)
-        assert main(["verify", path]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert seen == [1, 2]
+    runs = []
+    for threads in ("1", "4"):
+        json_path = tmp_path / f"report{threads}.json"
+        assert main(["analyze", path, "--threads", threads, "--json", str(json_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        payload = json.loads(json_path.read_text(encoding="utf-8"))
+        del payload["timings_ms"]
+        runs.append(([line for line in lines if not line.startswith("timings:")], payload))
+    assert runs[0] == runs[1]

@@ -234,12 +234,12 @@ def test_resolve_window_rejects_out_of_window_quadruple() -> None:
 # ---------------------------------------------------------------------------
 
 def test_hb_by_obstructions_goldens() -> None:
-    assert hb_by_obstructions(Analysis(diamond(), threads=1)) == HalfInt(1)
-    assert hb_by_obstructions(Analysis(sun(), threads=1)) == HalfInt.from_int(1)
-    king = Analysis(king_grid(3, 3), threads=1)
+    assert hb_by_obstructions(Analysis(diamond())) == HalfInt(1)
+    assert hb_by_obstructions(Analysis(sun())) == HalfInt.from_int(1)
+    king = Analysis(king_grid(3, 3))
     assert hb_by_obstructions(king) == HalfInt.from_int(1)
-    assert hb_by_obstructions(Analysis(path_graph(6), threads=1)) == HalfInt(0)
-    assert hb_by_obstructions(Analysis(complete_graph(4), threads=1)) == HalfInt(0)
+    assert hb_by_obstructions(Analysis(path_graph(6))) == HalfInt(0)
+    assert hb_by_obstructions(Analysis(complete_graph(4))) == HalfInt(0)
 
 
 @pytest.mark.parametrize(
@@ -249,7 +249,7 @@ def test_hb_by_obstructions_goldens() -> None:
 def test_hb_routes_agree_on_families(family: str, k: int, l: int) -> None:
     g = build_obstruction(family, k, l).graph
     want = family_hyperbolicity(family, k, l)
-    a = Analysis(g, threads=1)
+    a = Analysis(g)
     assert hb_by_obstructions(a) == want
     assert hb_by_thinness(a) == want
     direct, _ = hyperbolicity(g)
@@ -258,7 +258,7 @@ def test_hb_routes_agree_on_families(family: str, k: int, l: int) -> None:
 
 def test_probe_log_records_descending_sweep() -> None:
     probes: list = []
-    value = hb_by_obstructions(Analysis(diamond(), threads=1), probes_out=probes)
+    value = hb_by_obstructions(Analysis(diamond()), probes_out=probes)
     assert value == HalfInt(1)
     thresholds = [thr for thr, _ in probes]
     assert thresholds == [HalfInt(2), HalfInt(1), HalfInt(0)]
@@ -267,22 +267,22 @@ def test_probe_log_records_descending_sweep() -> None:
 
 
 def test_hb_by_thinness_on_king_grids() -> None:
-    king = Analysis(king_grid(3, 3), threads=1)
+    king = Analysis(king_grid(3, 3))
     assert hb_by_thinness(king) == HalfInt.from_int(1)
-    assert hb_by_thinness(Analysis(diamond(), threads=1)) == HalfInt(1)
-    assert hb_by_thinness(Analysis(path_graph(5), threads=1)) == HalfInt(0)
+    assert hb_by_thinness(Analysis(diamond())) == HalfInt(1)
+    assert hb_by_thinness(Analysis(path_graph(5))) == HalfInt(0)
 
 
 def test_aggregates_reject_non_helly_input() -> None:
     g = cycle_graph(5)
     with pytest.raises(NotHellyError):
-        hb_by_obstructions(Analysis(g, threads=1))
+        hb_by_obstructions(Analysis(g))
     with pytest.raises(NotHellyError):
-        hb_by_thinness(Analysis(g, threads=1))
+        hb_by_thinness(Analysis(g))
     with pytest.raises(NotHellyError):
-        half_hyperbolic_equivalents(Analysis(g, threads=1))
+        half_hyperbolic_equivalents(Analysis(g))
     with pytest.raises(NotHellyError):
-        power_characterization(Analysis(g, threads=1), 1)
+        power_characterization(Analysis(g), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +290,23 @@ def test_aggregates_reject_non_helly_input() -> None:
 # ---------------------------------------------------------------------------
 
 def test_power_characterization_goldens() -> None:
-    s4 = Analysis(sun(), threads=1)
+    s4 = Analysis(sun())
     assert power_characterization(s4, HalfInt(1)) is False  # h = 1 > 1/2
     assert power_characterization(s4, 1) is True
     assert power_characterization(s4, 0) is False
-    h2 = Analysis(build_obstruction("H2", 1, 1).graph, threads=1)  # h = 3/2
+    h2 = Analysis(build_obstruction("H2", 1, 1).graph)  # h = 3/2
     assert power_characterization(h2, 1) is False
     assert power_characterization(h2, HalfInt(3)) is True
-    dia = Analysis(diamond(), threads=1)
+    dia = Analysis(diamond())
     assert power_characterization(dia, 0) is False
     assert power_characterization(dia, HalfInt(1)) is True
-    assert power_characterization(Analysis(path_graph(7), threads=1), 0) is True
+    assert power_characterization(Analysis(path_graph(7)), 0) is True
     with pytest.raises(ValueError, match="threshold"):
-        power_characterization(Analysis(path_graph(3), threads=1), HalfInt(-1))
+        power_characterization(Analysis(path_graph(3)), HalfInt(-1))
 
 
 def test_power_characterization_monotone_in_threshold() -> None:
-    a = Analysis(king_grid(3, 3), threads=1)  # h = 1
+    a = Analysis(king_grid(3, 3))  # h = 1
     answers = [power_characterization(a, HalfInt(td)) for td in range(5)]
     assert answers == [False, False, True, True, True]
     assert answers == sorted(answers)
@@ -326,13 +326,13 @@ EQUIV_KEYS = {
 
 def test_equivalents_all_false_above_half() -> None:
     for g in (king_grid(3, 3), sun()):
-        eq = half_hyperbolic_equivalents(Analysis(g, threads=1))
+        eq = half_hyperbolic_equivalents(Analysis(g))
         assert set(eq) == EQUIV_KEYS
         assert set(eq.values()) == {False}
 
 
 def test_equivalents_all_true_at_or_below_half() -> None:
     for g in (path_graph(6), complete_graph(5), diamond()):
-        eq = half_hyperbolic_equivalents(Analysis(g, threads=1))
+        eq = half_hyperbolic_equivalents(Analysis(g))
         assert set(eq) == EQUIV_KEYS
         assert set(eq.values()) == {True}

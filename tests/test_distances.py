@@ -84,6 +84,8 @@ def test_isometric_subset_detection() -> None:
     assert dm.d(u, v) < 4 and {u, v} <= {0, 1, 2, 3, 4}
     ok, pair = is_isometric(c6, [0, 1, 2, 3], dm=dm)
     assert ok and pair is None
+    # {0, 1} and {3, 4} are components; 3 is the lowest vertex 0 does not reach
+    assert is_isometric(c6, [0, 1, 3, 4], dm=dm) == (False, (0, 3))
 
 
 def test_ball_bits_cap_at_eccentricity() -> None:

@@ -143,7 +143,7 @@ def test_embedding_is_isometric_directly() -> None:
 
 @pytest.mark.parametrize("g", [cycle_graph(4), cycle_graph(5), cycle_graph(9)])
 def test_hull_validate_all_checks_pass(g) -> None:
-    checks = hull_validate(Analysis(g, threads=1))
+    checks = hull_validate(Analysis(g))
     assert set(checks) == VALIDATE_KEYS
     assert all(checks.values())
 
@@ -153,14 +153,14 @@ def test_hull_validate_preserves_fractional_value() -> None:
     res = hull(g)
     value, _ = hyperbolicity(res.graph)
     assert value == HalfInt(3)  # 3/2, matching the 9-cycle
-    checks = hull_validate(Analysis(g, threads=1), result=res)
+    checks = hull_validate(Analysis(g), result=res)
     assert checks["hyperbolicity_preserved"]
 
 
 def test_hull_validate_accepts_precomputed_result() -> None:
     g = cycle_graph(5)
     res = hull(g)
-    a = Analysis(g, threads=1)
+    a = Analysis(g)
     assert hull_validate(a, result=res) == hull_validate(a)
 
 

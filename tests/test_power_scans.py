@@ -46,7 +46,7 @@ LARGE = [king_grid(p, p) for p in (12, 20, 25)] + [
 
 def assert_routes_match(graphs: list[Graph]) -> None:
     for g in graphs:
-        a = Analysis(g, threads=1)
+        a = Analysis(g)
         dm = a.dm
         h, _ = a.hyperbolicity
         for td in range(h.doubled + 3):

@@ -45,7 +45,7 @@ def helly_graphs(draw) -> Graph:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_three_routes_agree_on_helly_graphs(g: Graph) -> None:
-    a = Analysis(g, threads=1)
+    a = Analysis(g)
     direct, _ = a.hyperbolicity
     assert hb_by_obstructions(a) == direct
     assert hb_by_thinness(a) == direct
@@ -77,7 +77,7 @@ def test_probe_thresholds_and_materialization(g: Graph) -> None:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_power_route_equals_direct_value(g: Graph) -> None:
-    a = Analysis(g, threads=1)
+    a = Analysis(g)
     h, _ = a.hyperbolicity
     answers = []
     for td in range(0, h.doubled + 3):
@@ -90,7 +90,7 @@ def test_power_route_equals_direct_value(g: Graph) -> None:
 @settings(max_examples=30, deadline=None)
 @given(g=helly_graphs())
 def test_equivalents_agree_with_direct_value(g: Graph) -> None:
-    a = Analysis(g, threads=1)
+    a = Analysis(g)
     h, _ = a.hyperbolicity
     eq = half_hyperbolic_equivalents(a)
     assert len(set(eq.values())) == 1
@@ -160,7 +160,7 @@ def test_corpus_members_are_helly_and_self_hulled(hull_corpus) -> None:
 
 def test_corpus_routes_sample(hull_corpus) -> None:
     for g in hull_corpus[:25]:
-        a = Analysis(g, threads=1)
+        a = Analysis(g)
         direct, _ = a.hyperbolicity
         assert hb_by_obstructions(a) == direct
         assert hb_by_thinness(a) == direct

@@ -9,8 +9,6 @@ import importlib
 import random
 import tracemalloc
 
-import pytest
-
 from hellymetric import Graph, apsp, hyperbolicity, random_connected_graph
 
 # the package re-exports a function under the module's name
@@ -22,14 +20,13 @@ RANDOM = [
 ]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_tiny_tiles_match_the_untiled_scan(hull_corpus, monkeypatch, threads) -> None:
+def test_tiny_tiles_match_the_untiled_scan(hull_corpus, monkeypatch) -> None:
     graphs = hull_corpus + RANDOM
     # no input here has more than _TILE pairs, so the default scan is untiled;
     # at 7 columns both passes split their columns into many tiles
-    untiled = [hyperbolicity(g, threads=1) for g in graphs]
+    untiled = [hyperbolicity(g) for g in graphs]
     monkeypatch.setattr(scan_module, "_TILE", 7)
-    assert [hyperbolicity(g, threads=threads) for g in graphs] == untiled
+    assert [hyperbolicity(g) for g in graphs] == untiled
 
 
 def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
@@ -42,7 +39,7 @@ def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
     monkeypatch.setattr(scan_module, "_TILE", 1 << 10)
     tracemalloc.start()
     try:
-        value, _ = hyperbolicity(g, dm=dm, threads=1)
+        value, _ = hyperbolicity(g, dm=dm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -72,7 +69,7 @@ def test_both_passes_peak_allocation_follows_the_tile(monkeypatch) -> None:
     monkeypatch.setattr(scan_module, "_TILE", 1 << 10)
     tracemalloc.start()
     try:
-        value, w = hyperbolicity(g, dm=dm, threads=1)
+        value, w = hyperbolicity(g, dm=dm)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
