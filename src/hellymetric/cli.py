@@ -10,7 +10,8 @@ Exit codes, used consistently by every subcommand:
 * 4 — precondition warning (non-Helly input, enumeration budget exceeded)
 
 Environment: HELLYMETRIC_HULL_BUDGET caps hull enumeration size (an
-integer >= 1; any other value exits 1).
+integer >= 1; any other value exits 1 before the input is read, except under
+``analyze --no-hull``, which ignores the variable).
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from .graphs import (
     to_edge_list,
 )
 from .helly import MedianSearchError, is_helly
-from .hull import HullBudgetError, hull
+from .hull import HullBudgetError, hull, resolve_budget
 from .report import (
     build_analysis,
     family_to_dot,
@@ -84,6 +85,8 @@ def _emit(text: str, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not args.no_hull:
+        resolve_budget()  # a bad HELLYMETRIC_HULL_BUDGET fails before any work
     g = _read_graph(args.path)
     report = build_analysis(g, include_hull=not args.no_hull)
 
@@ -197,11 +200,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _emit(to_edge_list(g, header=header), args.output)
         return 0
     # random-hull: the injective hull of a seeded random connected graph
+    budget = resolve_budget()
     if args.n is None:
         raise ValueError("--family random-hull requires --n")
     base = random_connected_graph(args.n, args.prob, args.seed)
     try:
-        g = hull(base).graph
+        g = hull(base, budget=budget).graph
     except HullBudgetError as exc:
         sys.stderr.write(f"hull enumeration refused: {exc}\n")
         return 4
@@ -295,10 +299,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_hull(args: argparse.Namespace) -> int:
+    budget = resolve_budget()
     g = _read_graph(args.path)
     dm = apsp(g)
     try:
-        res = hull(g, dm=dm)
+        res = hull(g, dm=dm, budget=budget)
     except HullBudgetError as exc:
         sys.stderr.write(f"hull enumeration refused: {exc}\n")
         return 4

@@ -11,16 +11,19 @@ original graph isometrically; a graph is Helly iff it equals its own hull.
 vertices in BFS order that only reaches extremal functions: each value is
 capped by the largest slack d(u, v) - f(v) it could still be tight against,
 and a branch dies as soon as an assigned vertex can no longer be tight, so
-every leaf is a hull point and nothing is filtered afterwards.  Its work
-follows the number of hull points, not the size of the candidate box.  The
-budget is unchanged: a pre-check refuses any graph whose worst-case box
-prod(ecc(v) + 1) exceeds it, before the search starts.
+every leaf is a hull point and nothing is filtered afterwards.  The search
+runs on numpy blocks of partial functions that share a position, applying
+both prunes to a whole block per step; a block is halved before any of its
+temporaries would pass a fixed cell cap, so memory does not grow with the
+number of hull points.  Its work follows the number of hull points, not the
+size of the candidate box.  The budget is unchanged: a pre-check refuses any
+graph whose worst-case box prod(ecc(v) + 1) exceeds it, before the search
+starts.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from operator import sub
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .graphs import Graph, positive_int
 
 DEFAULT_HULL_BUDGET = 10_000_000
 _BUDGET_ENV = "HELLYMETRIC_HULL_BUDGET"
+_CELLS = 1 << 20  # cap on the cells of one search or edge-build temporary
 
 
 class HullBudgetError(Exception):
@@ -45,7 +49,11 @@ class HullResult:
     embedding: tuple[int, ...]
 
 
-def _resolve_budget(budget: int | None) -> int:
+def resolve_budget(budget: int | None = None) -> int:
+    """The budget argument, else HELLYMETRIC_HULL_BUDGET, else the default.
+
+    A variable that is not an integer of at least 1 raises ValueError.
+    """
     if budget is not None:
         return int(budget)
     text = os.environ.get(_BUDGET_ENV)
@@ -65,12 +73,12 @@ def extremal_functions(
 ) -> list[tuple[int, ...]]:
     """All integer extremal functions of the graph metric, sorted.
 
-    Assigns f(v) vertex by vertex in BFS order, depth first.  Each
-    assignment raises the lower bounds of the unassigned vertices to
-    d(u, v) - f(u), and a branch dies when a bound passes ecc(v).  Write
-    cur(v) for f(v) if v is assigned and for its lower bound otherwise; cur
-    only grows along a branch.  Two prunes keep the search on extremal
-    functions:
+    Assigns f(v) vertex by vertex in BFS order, depth first over blocks of
+    partial functions.  Each assignment raises the lower bounds of the
+    unassigned vertices to d(u, v) - f(u), and a partial function dies when
+    a bound passes ecc(v).  Write cur(v) for f(v) if v is assigned and for
+    its lower bound otherwise; cur only grows along a branch.  Two prunes
+    keep the search on extremal functions:
 
     * cap: f(u) is tried only up to max_v (d(u,v) - cur(v)), at most ecc(u);
     * tightness: after an assignment the branch is dropped if some assigned u
@@ -81,14 +89,29 @@ def extremal_functions(
     leaf satisfies every pair constraint by the bound propagation, so
     max_v (d(u,v) - f(v)) <= f(u), and the tightness prune gives the reverse
     inequality: every leaf is extremal, and nothing is filtered afterwards.
+    The leaves are returned sorted, so the order of the search never shows.
 
     Refuses to start when the worst-case search space prod(ecc(v)+1)
     exceeds the budget (override with the budget argument or the
     HELLYMETRIC_HULL_BUDGET environment variable).
     """
     dm = dm or apsp(g)
-    n = g.n
-    limit = _resolve_budget(budget)
+    return [tuple(f) for f in _search(g, dm, budget).tolist()]
+
+
+def _search(g: Graph, dm: DistanceMatrix, budget: int | None) -> np.ndarray:
+    """The extremal functions as the rows of an int32 array, in sorted order.
+
+    Runs the budget pre-check first.  A block is a k x n array of partial
+    functions that share a position: its rows hold cur in search order.
+    Expanding a block at position pos repeats each row once per value from
+    cur(pos) to its cap, raises the bounds of positions pos+1.., and keeps
+    the rows whose bounds fit and whose assigned vertices are all still
+    tight.  A block whose tightness temporary (expanded rows x (pos+1) x n)
+    would pass ``_CELLS`` is halved first; a single row's is at most n^3
+    cells, so every temporary is bounded whatever the number of leaves.
+    """
+    limit = resolve_budget(budget)
     space = 1
     for e in dm.ecc:
         space *= int(e) + 1
@@ -96,35 +119,39 @@ def extremal_functions(
             raise HullBudgetError(
                 f"hull search space exceeds budget: prod(ecc+1) > {limit}"
             )
-
+    n = g.n
     order = _bfs_vertex_order(g)
-    ecc = [int(dm.ecc[v]) for v in order]
-    rows = dm.dist[np.ix_(order, order)].tolist()  # in search order
-    leaves: list[tuple[int, ...]] = []
-
-    def assign(pos: int, cur: list[int]) -> None:
+    d = dm.dist[np.ix_(order, order)].astype(np.int32)  # in search order
+    ecc = d.max(axis=1)
+    leaves: list[np.ndarray] = []
+    stack = [(0, np.zeros((1, n), dtype=np.int32))]
+    while stack:
+        pos, cur = stack.pop()
         if pos == n:
-            leaves.append(tuple(cur))
-            return
-        row = rows[pos]
-        for val in range(cur[pos], max(map(sub, row, cur)) + 1):  # cap
-            nxt = cur[:]
-            nxt[pos] = val
-            for q in range(pos + 1, n):
-                need = row[q] - val
-                if need > nxt[q]:
-                    if need > ecc[q]:
-                        break
-                    nxt[q] = need
-            else:  # every bound fits; check tightness of the assigned vertices
-                if all(max(map(sub, rows[u], nxt)) >= nxt[u] for u in range(pos + 1)):
-                    assign(pos + 1, nxt)
-
-    assign(0, [0] * n)
-    inv = [0] * n
-    for i, v in enumerate(order):
-        inv[v] = i
-    return sorted(tuple(f[i] for i in inv) for f in leaves)
+            leaves.append(cur)
+            continue
+        low = cur[:, pos]
+        counts = np.maximum((d[pos] - cur).max(axis=1) - low + 1, 0)  # cap
+        total = int(counts.sum())
+        if total * (pos + 1) * n > _CELLS and len(cur) > 1:
+            half = len(cur) // 2
+            stack += [(pos, cur[half:]), (pos, cur[:half])]
+            continue
+        parent = np.repeat(np.arange(len(cur)), counts)
+        first = np.cumsum(counts, dtype=np.int32) - counts
+        val = low[parent] + (np.arange(total, dtype=np.int32) - first[parent])
+        nxt = cur[parent]
+        nxt[:, pos] = val
+        tail = np.maximum(nxt[:, pos + 1:], d[pos, pos + 1:] - val[:, None])
+        fits = (tail <= ecc[pos + 1:]).all(axis=1)
+        nxt = nxt[fits]
+        nxt[:, pos + 1:] = tail[fits]
+        slack = (d[None, : pos + 1] - nxt[:, None, :]).max(axis=2)
+        nxt = nxt[(slack >= nxt[:, : pos + 1]).all(axis=1)]  # tightness
+        if len(nxt):
+            stack.append((pos + 1, nxt))
+    funcs = np.concatenate(leaves)[:, np.argsort(order)]  # in vertex order
+    return funcs[np.lexsort(funcs.T[::-1])]
 
 
 def _bfs_vertex_order(g: Graph) -> list[int]:
@@ -148,17 +175,30 @@ def hull(
     dm: DistanceMatrix | None = None,
     budget: int | None = None,
 ) -> HullResult:
-    """Injective hull graph plus the isometric embedding of the input."""
+    """Injective hull graph plus the isometric embedding of the input.
+
+    Two points are adjacent when they differ by at most 1 everywhere.  The
+    edges are found a block of rows at a time, against the later points
+    only, so each temporary stays under ``_CELLS`` cells (for n <= _CELLS)
+    and the edges come out in row-major order i < j.
+    """
     dm = dm or apsp(g)
-    funcs = extremal_functions(g, dm=dm, budget=budget)
+    arr = _search(g, dm, budget)
+    funcs = [tuple(f) for f in arr.tolist()]
     index = {f: i for i, f in enumerate(funcs)}
-    arr = np.array(funcs, dtype=np.int32)
-    m = arr.shape[0]
-    edges = []
-    for i in range(m):
-        diff = np.abs(arr[i + 1 :] - arr[i]).max(axis=1)
-        for j in np.nonzero(diff <= 1)[0].tolist():
-            edges.append((i, i + 1 + j))
+    m, n = arr.shape
+    # several rows against all columns, or one row against a tile of columns
+    step = max(1, _CELLS // (m * n))
+    width = max(1, _CELLS // n)
+    edges: list[tuple[int, int]] = []
+    for i0 in range(0, m, step):
+        for j0 in range(i0 + 1, m, width):
+            diff = arr[i0 : i0 + step, None] - arr[None, j0 : j0 + width]
+            np.abs(diff, out=diff)
+            # row r is point i0 + r and column c is point j0 + c: keep i < j
+            near = np.triu(diff.max(axis=2) <= 1, i0 - j0 + 1)
+            rows, cols = np.nonzero(near)
+            edges += zip((rows + i0).tolist(), (cols + j0).tolist())
     hg = Graph(m, edges, name=f"hull({g.name or 'G'})")
     embedding = []
     for v in range(g.n):

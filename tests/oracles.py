@@ -13,9 +13,11 @@ disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
 ``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
 far-apart pairs,
 ``box_extremal_functions`` enumerates the hull's candidate box
-under the package's own budget pre-check, ``find_isometric_embedding``
-searches its distance rows, ``pair_loop_scan_quadruples`` runs the
-quadruple-pattern scan one (x, z) pair at a time,
+under the package's own budget pre-check, ``dfs_extremal_functions`` runs
+the hull search's prunes recursively on one partial function at a time,
+``find_isometric_embedding`` searches its distance rows,
+``pair_loop_scan_quadruples`` runs the quadruple-pattern scan one (x, z)
+pair at a time,
 ``vertex_loop_interval_violation`` tests conditions (a) and (b') one vertex
 v at a time, and ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
 and ``bit_walk_c4_flags`` step through its power rows, and through the
@@ -28,6 +30,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations, product
+from operator import sub
 from typing import Sequence
 
 import networkx as nx
@@ -44,7 +47,7 @@ from hellymetric import (
     apsp,
     graph_power,
 )
-from hellymetric.hull import HullBudgetError, _bfs_vertex_order, _resolve_budget
+from hellymetric.hull import HullBudgetError, _bfs_vertex_order, resolve_budget
 from hellymetric.hyperbolicity import (
     HyperbolicityWitness,
     _far_apart,
@@ -714,7 +717,7 @@ def box_extremal_functions(
     """
     dm = apsp(g)
     n = g.n
-    limit = _resolve_budget(budget)
+    limit = resolve_budget(budget)
     space = 1
     for e in dm.ecc:
         space *= int(e) + 1
@@ -767,6 +770,57 @@ def box_extremal_functions(
     mask = np.concatenate(keep)
     funcs = sorted(tuple(int(x) for x in row) for row in arr[mask])
     return funcs
+
+
+def dfs_extremal_functions(
+    g: Graph, *, budget: int | None = None
+) -> list[tuple[int, ...]]:
+    """All extremal functions by a recursive search over one partial function.
+
+    The same prunes as ``hellymetric.hull.extremal_functions`` (cap and
+    tightness, in the package's BFS order, under the same budget
+    pre-check), applied one node at a time with Python lists and
+    generator steps instead of numpy blocks.
+    """
+    dm = apsp(g)
+    n = g.n
+    limit = resolve_budget(budget)
+    space = 1
+    for e in dm.ecc:
+        space *= int(e) + 1
+        if space > limit:
+            raise HullBudgetError(
+                f"hull search space exceeds budget: prod(ecc+1) > {limit}"
+            )
+
+    order = _bfs_vertex_order(g)
+    ecc = [int(dm.ecc[v]) for v in order]
+    rows = dm.dist[np.ix_(order, order)].tolist()  # in search order
+    leaves: list[tuple[int, ...]] = []
+
+    def assign(pos: int, cur: list[int]) -> None:
+        if pos == n:
+            leaves.append(tuple(cur))
+            return
+        row = rows[pos]
+        for val in range(cur[pos], max(map(sub, row, cur)) + 1):  # cap
+            nxt = cur[:]
+            nxt[pos] = val
+            for q in range(pos + 1, n):
+                need = row[q] - val
+                if need > nxt[q]:
+                    if need > ecc[q]:
+                        break
+                    nxt[q] = need
+            else:  # every bound fits; check tightness of the assigned vertices
+                if all(max(map(sub, rows[u], nxt)) >= nxt[u] for u in range(pos + 1)):
+                    assign(pos + 1, nxt)
+
+    assign(0, [0] * n)
+    inv = [0] * n
+    for i, v in enumerate(order):
+        inv[v] = i
+    return sorted(tuple(f[i] for i in inv) for f in leaves)
 
 
 def find_isometric_embedding(

@@ -318,6 +318,38 @@ def test_bad_hull_budget_is_an_input_error(
     assert err.count("\n") == 1 and err.startswith("error: HELLYMETRIC_HULL_BUDGET: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "missing.edges"],
+        ["hull", "missing.edges"],
+        ["generate", "--family", "random-hull"],  # no --n
+    ],
+)
+def test_bad_hull_budget_is_reported_before_input_errors(
+    tmp_path, capsys, monkeypatch, argv
+) -> None:
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("HELLYMETRIC_HULL_BUDGET", "abc")
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: HELLYMETRIC_HULL_BUDGET: not an integer: 'abc'\n"
+
+
+def test_analyze_without_hull_ignores_the_hull_budget(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    path = write_graph(tmp_path, "king3.edges", king_grid(3, 3))
+    assert main(["analyze", path, "--no-hull"]) == 0
+    clean = capsys.readouterr()
+    monkeypatch.setenv("HELLYMETRIC_HULL_BUDGET", "abc")
+    assert main(["analyze", path, "--no-hull"]) == 0
+    out, err = capsys.readouterr()
+    assert err == clean.err == ""
+    assert out.splitlines()[:-1] == clean.out.splitlines()[:-1]  # all but timings
+
+
 # ---------------------------------------------------------------------------
 # power
 # ---------------------------------------------------------------------------
