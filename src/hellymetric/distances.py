@@ -65,8 +65,7 @@ class DistanceMatrix:
         cache = self._balls[center]
         mask = cache.get(r)
         if mask is None:
-            packed = np.packbits(self.dist[center] <= r, bitorder="little")
-            mask = int.from_bytes(packed.tobytes(), "little")
+            (mask,) = bit_rows(self.dist[center:center + 1] <= r)
             cache[r] = mask
         return mask
 
@@ -90,13 +89,26 @@ class DistanceMatrix:
                 close = self.dist[r0:r0 + step] <= ell
                 own = np.arange(close.shape[0])
                 close[own, own + r0] = False
-                packed = np.packbits(close, axis=1, bitorder="little")
-                rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+                rows.extend(bit_rows(close))
             self._power_rows[ell] = rows
         return rows
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, diam={self.diam}, rad={self.rad})"
+
+
+def bit_rows(mask: np.ndarray) -> list[int]:
+    """Row i of a 2-D boolean ``mask`` as a Python int with bit j = mask[i, j].
+
+    One ``np.packbits`` call packs the whole mask and each row is cut from
+    one bytes buffer, which is faster than converting row views one by one.
+    """
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(buf[i:i + width], "little")
+        for i in range(0, width * packed.shape[0], width)
+    ]
 
 
 def apsp(g: Graph) -> DistanceMatrix:

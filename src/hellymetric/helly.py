@@ -39,11 +39,25 @@ failing, in the order (a), (b'), (c), (d): three disks for (a) and (b'),
 disk-enumeration oracles and the classical vertex-triple test in the test
 suite keep the decider honest on small graphs.
 
-(a) and (b') share one kernel, ``_interval_violation``, which takes the
-pairs (v, w) a block of consecutive v at a time and counts the common
-neighbours one step closer to every u with one batched matrix product per
-block; the per-vertex loop it replaced is the test oracle
-``vertex_loop_interval_violation``.
+On the small graphs that dominate a batch (hulls of a dozen points) the
+test is mostly fixed per-call cost, so each condition keeps its numpy and
+interpreter steps few:
+
+* (a) and (b') share one kernel, ``_interval_violation``, which takes the
+  pairs (v, w) a block of consecutive v at a time and counts the common
+  neighbours one step closer to every u with one batched matrix product per
+  block.  The first block holds as many v as fit ``_FIRST_CELLS`` padded
+  cells at full width, so a graph of up to 25 vertices is one block, and
+  the blocks double from there.
+* (c) and (d) walk Python-int bit rows with inline low-bit loops.  (c)
+  passes over a triangle at once when one of its own vertices is universal
+  for T* (three bit tests against the closed neighbourhoods); (d) takes the
+  vertices opposite a from the bit rows of ``dist == 2``, packed in one
+  call (``distances.bit_rows``).
+
+The loops these replaced are the test oracles
+``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
+``list_walk_undominated_c4``.
 """
 from __future__ import annotations
 
@@ -52,13 +66,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .distances import DistanceMatrix, apsp
+from .distances import DistanceMatrix, apsp, bit_rows
 from .graphs import Graph
 from .halfint import HalfInt
 
 
 # cap on the padded (v, slot, u) cells of one _interval_violation block
 _BLOCK_CELLS = 1 << 18
+# padded cells of the first _interval_violation block at full width n: up to
+# 25 vertices take one block, and from 128 on the first block is one v
+_FIRST_CELLS = 1 << 14
 
 
 class MedianSearchError(Exception):
@@ -146,17 +163,6 @@ def is_helly(g: Graph, *, dm: DistanceMatrix | None = None) -> HellyCheck:
     return HellyCheck(True)
 
 
-def _bits_above(mask: int, v: int) -> list[int]:
-    """Ids of the set bits of a non-negative ``mask`` that exceed v."""
-    mask = mask >> (v + 1) << (v + 1)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _interval_violation(
     g: Graph, dm: DistanceMatrix, gap: int
 ) -> tuple[DiskConstraint, ...] | None:
@@ -171,15 +177,19 @@ def _interval_violation(
     to u than v; ``share`` marks which neighbours of v each partner is
     adjacent to; so the batched product share @ down counts, for every
     (v, w, u), the common neighbours one step closer to u.  The first block
-    is one v and each next block doubles, so an early violation stays cheap.
-    A block is cut to the longest run of v whose padded (v, slot, u) cells
-    fit _BLOCK_CELLS; a single v past the cap takes its partners in chunks
-    that fit it.
+    is the run of v whose padded (v, slot, u) cells fit _FIRST_CELLS at any
+    padding width (floor(_FIRST_CELLS / n^2) rows, at least one): a graph
+    of up to 25 vertices takes one block, and from 128 vertices on the first
+    block is a single v, so an early violation stays cheap.  Each next block
+    doubles.
+    A block is cut to the longest run of v whose padded cells fit
+    _BLOCK_CELLS; a single v past the cap takes its partners in chunks that
+    fit it.
     """
     dist = dm.dist
     n = dm.n
     ids = np.arange(n)
-    v0, rows = 0, 1
+    v0, rows = 0, max(1, _FIRST_CELLS // (n * n))
     while v0 < n - 1:
         block = dist[v0:v0 + rows]
         vs = ids[v0:v0 + block.shape[0]]
@@ -250,20 +260,32 @@ def _clique_helly_fails(
     least two vertices of T, T included; a universal vertex is adjacent to
     all its other members.  Each unit disk around T* holds two vertices of T,
     so the disks meet pairwise, and a common vertex would lie in T* and be
-    universal.
+    universal.  A triangle with a vertex of its own universal for T* is
+    passed over at once; only the others run the member loop.
     """
     adj = g.adj_bits
+    cl = [row | (1 << x) for x, row in enumerate(adj)]  # closed neighbourhoods
     for a in range(g.n):
         na = adj[a]
-        for b in _bits_above(na, a):
+        bs = na >> (a + 1) << (a + 1)
+        while bs:
+            low = bs & -bs
+            b = low.bit_length() - 1
+            bs ^= low
             nab = na & adj[b]
-            for c in _bits_above(nab, b):
+            cs = nab >> (b + 1) << (b + 1)
+            while cs:
+                low = cs & -cs
+                c = low.bit_length() - 1
+                cs ^= low
                 nc = adj[c]
                 ext = nab | (na & nc) | (adj[b] & nc)
+                if not (ext & ~cl[a] and ext & ~cl[b] and ext & ~cl[c]):
+                    continue
                 universal = ext
-                members = _bits_above(ext, -1)
+                members = _bit_ids(ext)
                 for y in members:
-                    universal &= adj[y] | (1 << y)
+                    universal &= cl[y]
                     if not universal:
                         return tuple(DiskConstraint(x, 1) for x in members)
     return None
@@ -278,17 +300,38 @@ def _undominated_c4(
     Each induced 4-cycle is met once: a is its least vertex, c the vertex
     opposite a, and b < d.
     """
-    dist = dm.dist
     adj = g.adj_bits
-    for a in range(g.n):
-        for c in (np.nonzero(dist[a, a + 1:] == 2)[0] + (a + 1)).tolist():
+    for a, two in enumerate(bit_rows(dm.dist == 2)):
+        cs = two >> (a + 1) << (a + 1)
+        while cs:
+            low = cs & -cs
+            c = low.bit_length() - 1
+            cs ^= low
             common = adj[a] & adj[c]
-            for b in _bits_above(common, a):
+            bs = common >> (a + 1) << (a + 1)
+            while bs:
+                low = bs & -bs
+                b = low.bit_length() - 1
+                bs ^= low
                 dom = common & adj[b]
-                for d in _bits_above(common & ~adj[b], b):
+                ds = (common & ~adj[b]) >> (b + 1) << (b + 1)
+                while ds:
+                    low = ds & -ds
+                    d = low.bit_length() - 1
+                    ds ^= low
                     if not (dom & adj[d]):
                         return tuple(DiskConstraint(x, 1) for x in (a, b, c, d))
     return None
+
+
+def _bit_ids(mask: int) -> list[int]:
+    """Ids of the set bits of a non-negative ``mask``, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +393,7 @@ def find_median(
     )[0]
     cand_y_mask = (dist[y] == fy) & (dist[x] == fx + 1) & (dist[z] == fz + 1)
     cand_z_mask = (dist[z] == fz) & (dist[x] == fx + 1) & (dist[y] == fy + 1)
-    ybits = _mask_to_bits(cand_y_mask)
-    zbits = _mask_to_bits(cand_z_mask)
+    ybits, zbits = bit_rows(np.stack([cand_y_mask, cand_z_mask]))
     adj = g.adj_bits
     for xv in cand_x.tolist():
         y_opts = ybits & adj[xv]
@@ -371,7 +413,3 @@ def find_median(
     raise MedianSearchError(
         f"no median triangle for ({x},{y},{z}); graph is not pseudo-modular"
     )
-
-
-def _mask_to_bits(mask: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")

@@ -19,7 +19,10 @@ the hull search's prunes recursively on one partial function at a time,
 ``pair_loop_scan_quadruples`` runs the quadruple-pattern scan one (x, z)
 pair at a time,
 ``vertex_loop_interval_violation`` tests conditions (a) and (b') one vertex
-v at a time, and ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
+v at a time, ``list_walk_clique_helly_fails`` and
+``list_walk_undominated_c4`` test conditions (c) and (d) over lists of bit
+ids, every triangle through its member loop and one ``np.nonzero`` call per
+vertex, and ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
 and ``bit_walk_c4_flags`` step through its power rows, and through the
 adjacency of G and of a built G^2, one bit position at a time.
 """
@@ -1029,3 +1032,65 @@ def bit_walk_c4_flags(g: Graph, dm: DistanceMatrix) -> tuple[bool, bool]:
     c4 = _has_induced_c4(g)
     c4_sq = _has_induced_c4(graph_power(g, 2, dm=dm)) if dm.diam >= 2 else False
     return c4, c4_sq
+
+
+def _bits_above(mask: int, v: int) -> list[int]:
+    """Ids of the set bits of a non-negative ``mask`` that exceed v."""
+    mask = mask >> (v + 1) << (v + 1)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def list_walk_clique_helly_fails(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[DiskConstraint, ...] | None:
+    """(c) The unit disks around the first extended triangle T* with no
+    universal vertex (Szwarcfiter), or None.
+
+    The extended triangle of T = {a, b, c} holds every vertex adjacent to at
+    least two vertices of T, T included; a universal vertex is adjacent to
+    all its other members.  Each unit disk around T* holds two vertices of T,
+    so the disks meet pairwise, and a common vertex would lie in T* and be
+    universal.
+    """
+    adj = g.adj_bits
+    for a in range(g.n):
+        na = adj[a]
+        for b in _bits_above(na, a):
+            nab = na & adj[b]
+            for c in _bits_above(nab, b):
+                nc = adj[c]
+                ext = nab | (na & nc) | (adj[b] & nc)
+                universal = ext
+                members = _bits_above(ext, -1)
+                for y in members:
+                    universal &= adj[y] | (1 << y)
+                    if not universal:
+                        return tuple(DiskConstraint(x, 1) for x in members)
+    return None
+
+
+def list_walk_undominated_c4(
+    g: Graph, dm: DistanceMatrix
+) -> tuple[DiskConstraint, ...] | None:
+    """(d) The unit disks D(a,1), D(b,1), D(c,1), D(d,1) of the first induced
+    4-cycle a-b-c-d with no vertex adjacent to all four, or None.
+
+    Each induced 4-cycle is met once: a is its least vertex, c the vertex
+    opposite a, and b < d.
+    """
+    dist = dm.dist
+    adj = g.adj_bits
+    for a in range(g.n):
+        for c in (np.nonzero(dist[a, a + 1:] == 2)[0] + (a + 1)).tolist():
+            common = adj[a] & adj[c]
+            for b in _bits_above(common, a):
+                dom = common & adj[b]
+                for d in _bits_above(common & ~adj[b], b):
+                    if not (dom & adj[d]):
+                        return tuple(DiskConstraint(x, 1) for x in (a, b, c, d))
+    return None

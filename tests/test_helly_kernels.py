@@ -1,23 +1,32 @@
 """The batched Helly-side kernels against their loop oracles.
 
-``detect._scan_quadruples`` walks the bit rows of its distance bands, and
+``detect._scan_quadruples`` walks the bit rows of its distance bands,
 ``helly._interval_violation`` tests conditions (a) and (b') a block of
-vertices at a time.  Both must return exactly what the loops they replaced
-return (``pair_loop_scan_quadruples`` and
-``vertex_loop_interval_violation`` in ``oracles``), the interval blocks
-tiled under a cell cap.
+vertices at a time, and ``helly._clique_helly_fails`` and
+``helly._undominated_c4`` test (c) and (d) on inline bit walks.  Each must
+return exactly what the loops it replaced return
+(``pair_loop_scan_quadruples``, ``vertex_loop_interval_violation``,
+``list_walk_clique_helly_fails`` and ``list_walk_undominated_c4`` in
+``oracles``), the interval blocks tiled under a cell cap.
 """
 from __future__ import annotations
 
 import importlib
+import math
 import tracemalloc
 
 import pytest
 
-from oracles import pair_loop_scan_quadruples, vertex_loop_interval_violation
-from test_helly_local import ladder_shapes
+from oracles import (
+    list_walk_clique_helly_fails,
+    list_walk_undominated_c4,
+    pair_loop_scan_quadruples,
+    vertex_loop_interval_violation,
+)
+from test_helly_local import ladder_shapes, octahedron
+from test_hull_search import GNP
 
-from hellymetric import Graph, apsp, build_obstruction, king_grid
+from hellymetric import Graph, apsp, build_obstruction, hull, is_helly, king_grid
 from hellymetric.distances import DistanceMatrix
 from hellymetric.graphs import random_connected_graph
 
@@ -45,18 +54,29 @@ def subdivided(g: Graph) -> Graph:
     return Graph(g.n + g.m, edges, name=f"sub({g.name})")
 
 
+def seeded_gnp() -> list[Graph]:
+    """Seeded G(n, 5/(n-1)), n 30..117, and G(n, 0.3), n 8..17."""
+    return [
+        random_connected_graph(n, prob or 5 / (n - 1), seed)
+        for seed in range(30)
+        for n, prob in ((30 + 3 * seed, None), (8 + seed % 10, 0.3))
+    ]
+
+
 def non_pseudo_modular() -> list[Graph]:
-    """Seeded G(n, 5/(n-1)) and G(n, 0.3) that fail (a) or (b'), and
-    subdivided ones that fail (b') alone."""
-    graphs = []
-    for seed in range(30):
-        for n, prob in ((30 + 3 * seed, None), (8 + seed % 10, 0.3)):
-            g = random_connected_graph(n, prob or 5 / (n - 1), seed)
-            if not helly.is_pseudo_modular(g):
-                graphs.append(g)
-        if seed % 3 == 0:
-            graphs.append(subdivided(random_connected_graph(12 + seed, 0.2, seed)))
+    """The seeded G(n, p) that fail (a) or (b'), and subdivided ones that
+    fail (b') alone."""
+    graphs = [g for g in SEEDED if not helly.is_pseudo_modular(g)]
+    for seed in range(0, 30, 3):
+        graphs.append(subdivided(random_connected_graph(12 + seed, 0.2, seed)))
     return graphs
+
+
+def sun_with_apex() -> Graph:
+    """The 3-sun (inner triangle 0-1-2, each outer vertex 3, 4, 5 adjacent
+    to two inner ones) plus a vertex 6 adjacent to all six."""
+    sun = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5)]
+    return Graph(7, sun + [(v, 6) for v in range(6)], name="3-sun+apex")
 
 
 LADDER = ladder_shapes()
@@ -65,6 +85,7 @@ LARGE = [king_grid(p, p) for p in (12, 20, 25)] + [
     for fam, lo in (("H1", 1), ("H2", 0), ("H3", 0))
     for k in range(lo, 13)
 ]
+SEEDED = seeded_gnp()
 RANDOM = non_pseudo_modular()
 
 
@@ -109,11 +130,83 @@ def test_interval_violation_matches_the_vertex_loop() -> None:
     assert_intervals_match(LADDER + LARGE + RANDOM)
 
 
-@pytest.mark.parametrize("cells", [1, 200, 5_000])
-def test_tiny_caps_match_the_loops(monkeypatch, cells) -> None:
-    # one v per block with its partners one at a time, then blocks cut short
+# (cells, first): a first-block floor of 1 starts from one v, one of 2^30
+# (at least n^3 cells, id suffix "-all") from every v
+CAPS = [pytest.param(cells, 1, id=str(cells)) for cells in (1, 200, 5_000)] + [
+    pytest.param(cells, 1 << 30, id=f"{cells}-all") for cells in (1, 200, 5_000, 1 << 18)
+]
+
+
+@pytest.mark.parametrize("cells,first", CAPS)
+def test_tiny_caps_match_the_loops(monkeypatch, cells, first) -> None:
+    # cells = 1 takes one v per block with its partners one at a time, the
+    # middle caps cut blocks short, and 2^18 leaves each graph one block
     monkeypatch.setattr(helly, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(helly, "_FIRST_CELLS", first)
     assert_intervals_match(LADDER[::5] + RANDOM[::3] + [king_grid(9, 11)])
+
+
+def test_early_exit_stays_small() -> None:
+    # seed-1 G(1000, (ln n + 3)/n) fails (a) at v = 0: the first block is
+    # one v, not the whole floor of rows
+    n = 1000
+    g = random_connected_graph(n, (math.log(n) + 3) / n, 1)
+    dm = apsp(g)
+    tracemalloc.start()
+    try:
+        found = helly._interval_violation(g, dm, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == vertex_loop_interval_violation(g, dm, 1)
+    assert found is not None and found[1].center == 0
+    assert peak < 2**20
+
+
+def assert_cliques_and_squares_match(graphs: list[Graph]) -> tuple[int, int]:
+    """(c) and (d) equal their oracles; how many graphs fail each."""
+    fails = [0, 0]
+    for g in graphs:
+        dm = apsp(g)
+        for i, (fast, oracle) in enumerate((
+            (helly._clique_helly_fails, list_walk_clique_helly_fails),
+            (helly._undominated_c4, list_walk_undominated_c4),
+        )):
+            got = fast(g, dm)
+            assert got == oracle(g, dm), (g.name, fast.__name__)
+            fails[i] += got is not None
+    return fails[0], fails[1]
+
+
+def test_clique_and_square_scans_match_on_helly_inputs() -> None:
+    assert assert_cliques_and_squares_match(LADDER + LARGE) == (0, 0)
+
+
+def test_clique_and_square_scans_match_on_hulls() -> None:
+    hulls = [hull(g).graph for g in GNP]
+    assert len(hulls) == 32
+    assert assert_cliques_and_squares_match(hulls) == (0, 0)
+
+
+def test_clique_and_square_scans_match_on_random_graphs() -> None:
+    # called directly, so the non-pseudo-modular graphs reach both failing
+    # paths too
+    cliques, squares = assert_cliques_and_squares_match(SEEDED)
+    assert cliques >= 10 and squares >= 40, (cliques, squares)
+
+
+def test_universal_vertex_outside_the_triangle() -> None:
+    # no vertex of the inner triangle is universal for its extended
+    # triangle, so the member loop runs, and finds the apex 6; on the
+    # octahedron the member loop finds no universal vertex
+    g = sun_with_apex()
+    adj = g.adj_bits
+    cl = [row | (1 << v) for v, row in enumerate(adj)]
+    ext = (adj[0] & adj[1]) | (adj[0] & adj[2]) | (adj[1] & adj[2])
+    assert ext == (1 << 7) - 1
+    assert [ext & ~cl[t] != 0 for t in (0, 1, 2, 6)] == [True, True, True, False]
+    assert assert_cliques_and_squares_match([g, octahedron()]) == (1, 0)
+    assert is_helly(g)
 
 
 def test_kernels_peak_allocation_is_capped() -> None:
