@@ -20,7 +20,12 @@ power_characterization) read one ``Analysis`` context per graph, which
 computes each shared quantity once, and reject non-Helly input.
 
 Witness corners are the quadruple the scan fired on; the materialized copy
-(always computed) lives in the witness alongside its cell layout.
+(always computed) lives in the witness alongside its cell layout.  One
+certification step, ``_certify``, turns corners into a copy for every
+caller: the detectors right after their scans, and ``materialize`` when it
+rebuilds a witness.  Only the second phase of ``detect_H1_or_H3``, whose
+family is known only after resolution, calls ``resolve_window_quadruple``
+directly.
 
 Every probe, the sun-tip test, the power route and both 4-cycle tests run
 one quadruple-pattern scanner, ``_scan_quadruples``.  It reads each distance
@@ -32,6 +37,7 @@ quadruple is that of the pair loop in the test oracle
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -228,52 +234,61 @@ def _make_witness(
     )
 
 
+def _certify(
+    g: Graph,
+    dm: DistanceMatrix,
+    family: str,
+    k: int,
+    l: int,
+    quad: tuple[int, int, int, int],
+) -> ObstructionWitness:
+    """The certified ``family(k, l)`` copy behind a scanned quadruple.
+
+    The corners either realize the family's own corner pattern (anchored
+    directly), or, for H2(k, k), the H1(k+1, k+1) pattern of the wide scan
+    variant (the enclosing square, restricted to its inner window), or, for
+    H1(k, k) and H3(k, k), the probe window at k-1 and k respectively
+    (resolved by the constructive case analysis, which must certify the
+    same family).  Anything else raises MaterializeError.
+    """
+    if _realizes_corner_pattern(dm, family, k, l, quad):
+        placement = _anchored_placement(dm, family, k, l, quad)
+        return _make_witness(family, k, l, placement, quad)
+    if family == "H2" and k == l and _realizes_corner_pattern(
+        dm, "H1", k + 1, k + 1, quad
+    ):
+        placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
+        return _make_witness(family, k, k, placement, quad, shift=(1, 1))
+    if family in ("H1", "H3") and k == l:
+        probe = k - 1 if family == "H1" else k
+        if probe >= 0 and _fits_window(dm, probe, quad):
+            resolved = resolve_window_quadruple(g, probe, quad, dm=dm)
+            if resolved.family != family:
+                raise MaterializeError(
+                    f"window quadruple {quad} resolves to "
+                    f"{resolved.family}({resolved.k},{resolved.l}), not "
+                    f"{family}({k},{l})"
+                )
+            return resolved
+    raise MaterializeError(
+        f"witness corners {quad} satisfy no detection pattern for "
+        f"{family}({k},{l})"
+    )
+
+
 def materialize(
     g: Graph, w: ObstructionWitness, *, dm: DistanceMatrix | None = None
 ) -> tuple[int, ...]:
     """Vertex set of an isometric family copy rebuilt from a witness.
 
-    Dispatches on which detection pattern the witness corners satisfy:
-    the family's exact corner pattern gives the direct anchored
-    construction; the wider H2 scan variant (far inner pair) builds the
-    enclosing H1(k+1, k+1) square and restricts it; a wide-diagonal window
-    quadruple is resolved through the constructive case analysis, which
-    must certify the witness's own family.  Raises MaterializeError when
-    the corners fit no pattern for the claimed family or a placement disk
-    system is infeasible (the usual symptom of non-Helly input).
+    Runs the certification step every detector runs on its scanned
+    quadruple, so the copy rebuilt from a detector's witness is the one it
+    returned.  Raises MaterializeError when the corners fit no detection
+    pattern for the claimed family or a placement disk system is infeasible
+    (the usual symptom of non-Helly input).
     """
     dm = dm or apsp(g)
-    fam, k, l = w.family, w.k, w.l
-    quad = w.corners
-    if _realizes_corner_pattern(dm, fam, k, l, quad):
-        placement = _anchored_placement(dm, fam, k, l, quad)
-        return tuple(sorted(placement[cc] for cc in family_cells(fam, k, l)))
-    x, y, z, t = quad
-    if (
-        fam == "H2"
-        and k == l
-        and (dm.d(x, y), dm.d(y, z), dm.d(z, t), dm.d(t, x))
-        == (k + 1, k + 1, k + 1, k + 1)
-        and dm.d(x, z) == 2 * k + 2
-        and dm.d(y, t) == 2 * k + 2
-    ):
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
-        cells = family_cells("H2", k, k)
-        return tuple(sorted(placement[(s + 1, tt + 1)] for s, tt in cells))
-    if fam in ("H1", "H3") and k == l:
-        probe = k - 1 if fam == "H1" else k
-        if probe >= 0 and _fits_window(dm, probe, quad):
-            resolved = resolve_window_quadruple(g, probe, quad, dm=dm)
-            if resolved.family != fam:
-                raise MaterializeError(
-                    f"window quadruple {quad} resolves to "
-                    f"{resolved.family}({resolved.k},{resolved.l}), not "
-                    f"{fam}({k},{l})"
-                )
-            return resolved.materialized
-    raise MaterializeError(
-        f"witness corners {quad} satisfy no detection pattern for {fam}({k},{l})"
-    )
+    return _certify(g, dm, w.family, w.k, w.l, w.corners).materialized
 
 
 def _fits_window(
@@ -348,8 +363,7 @@ def detect_H1(
     found = _scan_h1_pattern(dm, k)
     if found is None:
         return None
-    placement = _anchored_placement(dm, "H1", k + 1, k + 1, found)
-    return _make_witness("H1", k + 1, k + 1, placement, found)
+    return _certify(g, dm, "H1", k + 1, k + 1, found)
 
 
 def _scan_h1_pattern(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
@@ -375,11 +389,7 @@ def detect_H2(
     quad = _scan_quadruples(dm, (diag, diag), (k + 1, k + 1), (diag - 1, diag))
     if quad is None:
         return None
-    if dm.d(quad[1], quad[3]) == diag - 1:
-        placement = _anchored_placement(dm, "H2", k, k, quad)
-        return _make_witness("H2", k, k, placement, quad)
-    placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
-    return _make_witness("H2", k, k, placement, quad, shift=(1, 1))
+    return _certify(g, dm, "H2", k, k, quad)
 
 
 def detect_H1_or_H3(
@@ -396,8 +406,7 @@ def detect_H1_or_H3(
     dm = dm or apsp(g)
     found = _scan_h1_pattern(dm, k)
     if found is not None:
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, found)
-        return _make_witness("H1", k + 1, k + 1, placement, found)
+        return _certify(g, dm, "H1", k + 1, k + 1, found)
     lo = 2 * k + 3
     quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
     if quad is None:
@@ -558,6 +567,16 @@ class Analysis:
             else:
                 self._probes[td] = detect_H1_or_H3(self.g, td // 2, dm=self.dm)
         return self._probes[td]
+
+    def probe_mismatches(self, hb: HalfInt, thresholds: Iterable[int]) -> list[int]:
+        """The doubled thresholds td whose probe disagrees with h > td/2.
+
+        ``hb`` is the value the probes are held against; on Helly input the
+        list is empty.
+        """
+        return [
+            td for td in thresholds if (self.probe(td) is not None) != (hb.doubled > td)
+        ]
 
 
 def _require_helly(a: Analysis) -> None:

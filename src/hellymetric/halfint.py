@@ -30,10 +30,6 @@ class HalfInt:
     def from_int(cls, value: int) -> "HalfInt":
         return cls(2 * value)
 
-    @classmethod
-    def half(cls) -> "HalfInt":
-        return cls(1)
-
     @staticmethod
     def coerce(value: Number) -> "HalfInt":
         if isinstance(value, HalfInt):
@@ -55,31 +51,6 @@ class HalfInt:
     def floor(self) -> int:
         return self.doubled // 2
 
-    def ceil(self) -> int:
-        return -((-self.doubled) // 2)
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other: Number) -> "HalfInt":
-        return HalfInt(self.doubled + HalfInt.coerce(other).doubled)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: Number) -> "HalfInt":
-        return HalfInt(self.doubled - HalfInt.coerce(other).doubled)
-
-    def __rsub__(self, other: Number) -> "HalfInt":
-        return HalfInt(HalfInt.coerce(other).doubled - self.doubled)
-
-    def __mul__(self, factor: int) -> "HalfInt":
-        if not isinstance(factor, int):
-            raise TypeError("HalfInt can only be scaled by an int")
-        return HalfInt(self.doubled * factor)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.doubled)
-
     # -- comparisons (total_ordering fills in the rest) ----------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (HalfInt, int)):
@@ -100,8 +71,3 @@ class HalfInt:
 
     def __repr__(self) -> str:
         return f"HalfInt({self})"
-
-
-ZERO = HalfInt(0)
-HALF = HalfInt(1)
-ONE = HalfInt(2)

@@ -52,8 +52,8 @@ interpreter steps few:
 * (c) and (d) walk Python-int bit rows with inline low-bit loops.  (c)
   passes over a triangle at once when one of its own vertices is universal
   for T* (three bit tests against the closed neighbourhoods); (d) takes the
-  vertices opposite a from the bit rows of ``dist == 2``, packed in one
-  call (``distances.bit_rows``).
+  vertices opposite a from the cached rows of the square,
+  ``DistanceMatrix.power_rows(2)``, packed a bounded block at a time.
 
 The loops these replaced are the test oracles
 ``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
@@ -301,8 +301,8 @@ def _undominated_c4(
     opposite a, and b < d.
     """
     adj = g.adj_bits
-    for a, two in enumerate(bit_rows(dm.dist == 2)):
-        cs = two >> (a + 1) << (a + 1)
+    for a, near in enumerate(dm.power_rows(2)):
+        cs = (near & ~adj[a]) >> (a + 1) << (a + 1)
         while cs:
             low = cs & -cs
             c = low.bit_length() - 1

@@ -8,17 +8,17 @@ most 1 everywhere.  Mapping v to the distance row d(v, .) embeds the
 original graph isometrically; a graph is Helly iff it equals its own hull.
 
 ``extremal_functions`` finds the points by a depth-first search over the
-vertices in BFS order that only reaches extremal functions: each value is
-capped by the largest slack d(u, v) - f(v) it could still be tight against,
-and a branch dies as soon as an assigned vertex can no longer be tight, so
-every leaf is a hull point and nothing is filtered afterwards.  The search
-runs on numpy blocks of partial functions that share a position, applying
-both prunes to a whole block per step; a block is halved before any of its
-temporaries would pass a fixed cell cap, so memory does not grow with the
-number of hull points.  Its work follows the number of hull points, not the
-size of the candidate box.  The budget is unchanged: a pre-check refuses any
-graph whose worst-case box prod(ecc(v) + 1) exceeds it, before the search
-starts.
+vertices in the order (distance from vertex 0, id) that only reaches
+extremal functions: each value is capped by the largest slack
+d(u, v) - f(v) it could still be tight against, and a branch dies as soon
+as an assigned vertex can no longer be tight, so every leaf is a hull point
+and nothing is filtered afterwards.  The search runs on numpy blocks of
+partial functions that share a position, applying both prunes to a whole
+block per step; a block is halved before any of its temporaries would pass
+a fixed cell cap, so memory does not grow with the number of hull points.
+Its work follows the number of hull points, not the size of the candidate
+box.  The budget is unchanged: a pre-check refuses any graph whose
+worst-case box prod(ecc(v) + 1) exceeds it, before the search starts.
 """
 from __future__ import annotations
 
@@ -73,12 +73,12 @@ def extremal_functions(
 ) -> list[tuple[int, ...]]:
     """All integer extremal functions of the graph metric, sorted.
 
-    Assigns f(v) vertex by vertex in BFS order, depth first over blocks of
-    partial functions.  Each assignment raises the lower bounds of the
-    unassigned vertices to d(u, v) - f(u), and a partial function dies when
-    a bound passes ecc(v).  Write cur(v) for f(v) if v is assigned and for
-    its lower bound otherwise; cur only grows along a branch.  Two prunes
-    keep the search on extremal functions:
+    Assigns f(v) vertex by vertex in the order (distance from vertex 0, id),
+    depth first over blocks of partial functions.  Each assignment raises
+    the lower bounds of the unassigned vertices to d(u, v) - f(u), and a
+    partial function dies when a bound passes ecc(v).  Write cur(v) for f(v)
+    if v is assigned and for its lower bound otherwise; cur only grows along
+    a branch.  Two prunes keep the search on extremal functions:
 
     * cap: f(u) is tried only up to max_v (d(u,v) - cur(v)), at most ecc(u);
     * tightness: after an assignment the branch is dropped if some assigned u
@@ -120,7 +120,7 @@ def _search(g: Graph, dm: DistanceMatrix, budget: int | None) -> np.ndarray:
                 f"hull search space exceeds budget: prod(ecc+1) > {limit}"
             )
     n = g.n
-    order = _bfs_vertex_order(g)
+    order = np.argsort(dm.dist[0], kind="stable")  # (distance from 0, id)
     d = dm.dist[np.ix_(order, order)].astype(np.int32)  # in search order
     ecc = d.max(axis=1)
     leaves: list[np.ndarray] = []
@@ -152,21 +152,6 @@ def _search(g: Graph, dm: DistanceMatrix, budget: int | None) -> np.ndarray:
             stack.append((pos + 1, nxt))
     funcs = np.concatenate(leaves)[:, np.argsort(order)]  # in vertex order
     return funcs[np.lexsort(funcs.T[::-1])]
-
-
-def _bfs_vertex_order(g: Graph) -> list[int]:
-    seen = [False] * g.n
-    seen[0] = True
-    order = [0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in g.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                order.append(v)
-    return order
 
 
 def hull(
@@ -242,8 +227,7 @@ def hull_validate(a: Analysis, *, result: HullResult | None = None) -> dict[str,
     cov = int(ha.dm.dist[:, emb].min(axis=1).max())
     checks["covering_radius"] = cov <= hb_g.doubled
 
-    checks["obstruction_decisions_match"] = helly_ok and all(
-        (ha.probe(td) is not None) == (hb_g.doubled > td)
-        for td in range(0, hb_g.doubled + 3)
+    checks["obstruction_decisions_match"] = helly_ok and not ha.probe_mismatches(
+        hb_g, range(hb_g.doubled + 3)
     )
     return checks

@@ -294,33 +294,18 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
     )
 
     kmax = hb.floor() + 1
-    bad_int = [
-        k
-        for k in range(kmax + 1)
-        if (a.probe(2 * k) is not None) != (hb >= HalfInt(2 * k + 1))
-    ]
-    out.append(
-        ClaimResult(
-            "Thm4-int",
-            "PASS" if not bad_int else "FAIL",
-            f"k=0..{kmax}"
-            + ("" if not bad_int else f", mismatched at k={bad_int[0]}"),
-        )
+    bad = a.probe_mismatches(
+        hb, [*range(0, 2 * kmax + 2, 2), *range(1, 2 * kmax + 2, 2)]
     )
-
-    bad_half = [
-        k
-        for k in range(kmax + 1)
-        if (a.probe(2 * k + 1) is not None) != (hb >= HalfInt.from_int(k + 1))
-    ]
-    out.append(
-        ClaimResult(
-            "Thm4-half",
-            "PASS" if not bad_half else "FAIL",
-            f"k=0..{kmax}"
-            + ("" if not bad_half else f", mismatched at k={bad_half[0]}"),
+    for cid, parity in (("Thm4-int", 0), ("Thm4-half", 1)):
+        ks = [td // 2 for td in bad if td % 2 == parity]
+        out.append(
+            ClaimResult(
+                cid,
+                "PASS" if not ks else "FAIL",
+                f"k=0..{kmax}" + ("" if not ks else f", mismatched at k={ks[0]}"),
+            )
         )
-    )
 
     bad_pow = _power_mismatches(_power_table(a), hb)
     out.append(

@@ -50,7 +50,7 @@ from hellymetric import (
     apsp,
     graph_power,
 )
-from hellymetric.hull import HullBudgetError, _bfs_vertex_order, resolve_budget
+from hellymetric.hull import HullBudgetError, resolve_budget
 from hellymetric.hyperbolicity import (
     HyperbolicityWitness,
     _far_apart,
@@ -707,15 +707,30 @@ def tie_scan_hyperbolicity(
     return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
 
 
+def _bfs_vertex_order(g: Graph) -> list[int]:
+    seen = [False] * g.n
+    seen[0] = True
+    order = [0]
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in g.neighbors[u]:
+            if not seen[v]:
+                seen[v] = True
+                order.append(v)
+    return order
+
+
 def box_extremal_functions(
     g: Graph, *, budget: int | None = None
 ) -> list[tuple[int, ...]]:
     """All extremal functions by enumerating the candidate box, then filtering.
 
     Stores every vector between the propagated lower bounds and the
-    eccentricities, in the package's BFS order, then keeps exactly the
-    vectors with f(u) = max_v (d(u,v) - f(v)) by a numpy filter over
-    1024-row blocks.  The same prod(ecc+1) budget pre-check as
+    eccentricities, in the BFS order of ``_bfs_vertex_order``, then keeps
+    exactly the vectors with f(u) = max_v (d(u,v) - f(v)) by a numpy filter
+    over 1024-row blocks.  The same prod(ecc+1) budget pre-check as
     ``hellymetric.hull.extremal_functions`` refuses the same inputs.
     """
     dm = apsp(g)
@@ -781,8 +796,8 @@ def dfs_extremal_functions(
     """All extremal functions by a recursive search over one partial function.
 
     The same prunes as ``hellymetric.hull.extremal_functions`` (cap and
-    tightness, in the package's BFS order, under the same budget
-    pre-check), applied one node at a time with Python lists and
+    tightness, under the same budget pre-check), in the BFS order of
+    ``_bfs_vertex_order``, applied one node at a time with Python lists and
     generator steps instead of numpy blocks.
     """
     dm = apsp(g)

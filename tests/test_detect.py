@@ -1,6 +1,7 @@
 """Obstruction detectors, certified materialization, and derived classifiers."""
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,7 @@ from hellymetric import (
     power_characterization,
     resolve_window_quadruple,
 )
+from hellymetric.detect import _realizes_corner_pattern, _scan_quadruples
 from hellymetric.families import cell_dist
 
 
@@ -186,6 +188,63 @@ def test_materialize_is_a_fixed_point_of_detection() -> None:
         assert materialize(g, w) == w.materialized
 
 
+def ladder_with_relabellings() -> list[Graph]:
+    """King p x q (2 <= p <= q <= 8) and H1/H2/H3(k, l), k <= l <= 3, each
+    also under one seeded relabelling, which changes the scans' first hits."""
+    graphs = [king_grid(p, q) for p in range(2, 9) for q in range(p, 9)]
+    graphs += [
+        build_obstruction(fam, k, l).graph
+        for fam in ("H1", "H2", "H3")
+        for k in range(1 if fam == "H1" else 0, 4)
+        for l in range(k, 4)
+    ]
+    rng = random.Random(1)
+    for g in list(graphs):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        graphs.append(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    return graphs
+
+
+def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
+    # every fired probe rebuilds to its own copy; so does the resolution of
+    # each first window quadruple, which phase 1 of detect_H1_or_H3
+    # pre-empts on Helly input.  Together they reach every certification
+    # branch: exact corners, the wide H2 variant, and the window through
+    # each case of its resolution (a 2k+4 diagonal frame, two, one or no
+    # short sides, the last ending in an H1 square or the pinwheel H3)
+    seen: set[str] = set()
+    for g in ladder_with_relabellings():
+        a = Analysis(g)
+        dm = a.dm
+        for td in range(dm.diam + 2):
+            w = a.probe(td)
+            if w is not None:
+                assert materialize(g, w, dm=dm) == w.materialized, (g.name, td)
+                exact = _realizes_corner_pattern(dm, w.family, w.k, w.l, w.corners)
+                seen.add("exact" if exact else f"wide {w.family}")
+        for k in range(dm.diam // 2):
+            lo = 2 * k + 3
+            quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
+            if quad is not None:
+                w = resolve_window_quadruple(g, k, quad, dm=dm)
+                assert materialize(g, w, dm=dm) == w.materialized, (g.name, quad)
+                if max(dm.d(quad[0], quad[2]), dm.d(quad[1], quad[3])) > lo:
+                    seen.add(f"window {w.family}, frame")
+                else:
+                    short = sum(dm.d(quad[i], quad[i - 1]) == k + 1 for i in range(4))
+                    seen.add(f"window {w.family}, {short} short")
+    assert seen == {
+        "exact",
+        "wide H2",
+        "window H1, frame",
+        "window H1, 2 short",
+        "window H1, 1 short",
+        "window H1, 0 short",
+        "window H3, 0 short",
+    }
+
+
 def test_materialize_wide_inner_pair_variant() -> None:
     # corners of H1(2,2) satisfy the wide H2 scan variant (all sides 2,
     # both inner-pair distances 4); the rebuilt copy is the restricted window
@@ -271,6 +330,19 @@ def test_hb_by_thinness_on_king_grids() -> None:
     assert hb_by_thinness(king) == HalfInt.from_int(1)
     assert hb_by_thinness(Analysis(diamond())) == HalfInt(1)
     assert hb_by_thinness(Analysis(path_graph(5))) == HalfInt(0)
+
+
+def test_probe_mismatches_reports_disagreeing_thresholds() -> None:
+    # C5 has h = 1/2 but no probe fires on it (it is not Helly), so the
+    # integer probe at 0 disagrees with h > 0
+    assert Analysis(cycle_graph(5)).probe_mismatches(HalfInt(1), range(3)) == [0]
+
+
+def test_probe_mismatches_is_empty_on_helly_input() -> None:
+    for g in (king_grid(4, 5), sun(), build_obstruction("H2", 1, 2).graph):
+        a = Analysis(g)
+        hb, _ = a.hyperbolicity
+        assert a.probe_mismatches(hb, range(hb.doubled + 3)) == []
 
 
 def test_aggregates_reject_non_helly_input() -> None:

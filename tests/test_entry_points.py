@@ -2,10 +2,12 @@
 
 ``perfbench/spans.py`` wraps the package's entry points by module and name;
 a rename or a call that bypasses the module-level name would silently drop
-a layer from the benchmark's traced runs.
+a layer from the benchmark's traced runs.  Every other module-level name of
+the package is either exported or used inside it: no dead helpers.
 """
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -16,6 +18,7 @@ from hellymetric import king_grid, to_edge_list
 from hellymetric.cli import main
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PACKAGE = Path(hellymetric.__file__).resolve().parent
 
 
 def _spans_module():
@@ -53,3 +56,35 @@ def test_traced_commands_reach_every_layer(tmp_path, capsys) -> None:
 def test_package_exports_resolve() -> None:
     for name in hellymetric.__all__:
         assert getattr(hellymetric, name, None) is not None, name
+
+
+def test_every_module_level_name_is_exported_or_used() -> None:
+    # a def, class or assigned name at module level that the package
+    # neither exports nor loads anywhere is a dead helper
+    defined: dict[str, str] = {}
+    loaded: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined.update((name, path.name) for name in names if name[:2] != "__")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.alias):
+                loaded.add(node.name)
+    dead = {
+        name: module
+        for name, module in defined.items()
+        if name not in hellymetric.__all__ and name not in loaded
+    }
+    assert not dead, dead

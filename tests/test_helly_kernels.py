@@ -212,6 +212,25 @@ def test_universal_vertex_outside_the_triangle() -> None:
     assert is_helly(g)
 
 
+def test_square_condition_packs_bounded_blocks() -> None:
+    # a 4-cycle 0-1-2-3 whose vertex 1 is also the centre of a star: (d)
+    # fails on its first 4-cycle, and the distance-2 rows come from the
+    # square's rows, packed under _UNPACK_BYTES, never from an n x n
+    # boolean matrix (16 MB here)
+    n = 4000
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(1, v) for v in range(4, n)]
+    g = Graph(n, edges)
+    dm = apsp(g)
+    tracemalloc.start()
+    try:
+        found = helly._undominated_c4(g, dm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None and [c.center for c in found] == [0, 1, 2, 3]
+    assert peak < n * n
+
+
 def test_kernels_peak_allocation_is_capped() -> None:
     # king 30 x 30: the int16 matrix alone is 1.6 MB.  The two scans cache
     # seven powers of 900 bit rows (0.8 MB in all), each packed from one
