@@ -16,8 +16,8 @@ them in decreasing distance order and keeps only the running maximum gap:
 a pair at distance <= best cannot lie in a larger gap, so the sweep stops at
 the first chunk of 64 outer pairs whose first distance is <= best, and each
 chunk pairs only with the pairs above best.  The witness pass
-(B = the value found) keeps the pairs at distance >= B, sorts them by
-(u, v), and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
+(B = the value found) keeps the pairs at distance >= B, in the (u, v)
+order in which the far-apart mask lists them, and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
 pairs whose first vertex is > a, and the walk stops at the first a with a
 gap of B, returning the lexicographically smallest sorted quadruple among
 that a's hits.  This is the lexicographically smallest sorted maximizer
@@ -28,8 +28,10 @@ quadruple is the first vertex of one of its two pairs while the other pair
 lies wholly above it, so no maximizer has a smaller first vertex than the
 first a with a hit, and each one whose first vertex is a is a hit at a.  The
 witness need not be the smallest maximizer over all quadruples.  Both passes
-tile their inner pairs in blocks of ``_TILE`` columns, so their temporaries
-are at most 64 x ``_TILE`` integers whatever the graph size.
+gather the int16 distance rows of a chunk's vertices once, widen only those
+to int32, and read the inner pairs as columns of them, tiled in blocks of
+``_TILE``; so no int32 copy of the matrix is made, and the temporaries are
+two 64 x n row blocks and a few 64 x ``_TILE`` integer tiles.
 
 Interval thinness is batched per source x and level k.  With A[u, y] true
 when u lies on a shortest (x, y)-path, two vertices u, v of the level L_k(x)
@@ -101,10 +103,30 @@ def quadruple_delta(
 
 
 def is_block_graph(g: Graph) -> bool:
-    """Every biconnected component a clique (equivalently: zero hyperbolicity)."""
+    """Every biconnected component a clique (equivalently: zero hyperbolicity).
+
+    A triangle count rejects most other graphs before the DFS: a block graph
+    has at least as many triangles as its cycle rank.  Both add up over the
+    blocks (a triangle is biconnected, so it lies in one block), and a clique
+    block on b vertices holds C(b, 3) >= (b - 1)(b - 2)/2 triangles, its
+    share of the rank.  The rank of a block graph with c components is
+    m - n + c >= m - n + 1, so fewer than m - n + 1 triangles rule it out.
+    The count stops once it reaches that bound; the DFS then decides.
+    """
     if g.n <= 2:
         return True
     adj = g.adj_bits
+    rank = g.m - g.n + 1
+    triangles = 0
+    for u in range(g.n):
+        if triangles >= rank:
+            break
+        for v in g.neighbors[u]:
+            if v > u:
+                # the common neighbours above v close a triangle u < v < w
+                triangles += ((adj[u] & adj[v]) >> (v + 1)).bit_count()
+    if triangles < rank:
+        return False
     for comp in _biconnected_components(g):
         if len(comp) <= 2:
             continue
@@ -173,15 +195,30 @@ def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
 
 
 def _gaps(
-    d32: np.ndarray,
+    dist: np.ndarray,
     U: np.ndarray, V: np.ndarray, DUV: np.ndarray,
     W: np.ndarray, X: np.ndarray, DWX: np.ndarray,
-) -> np.ndarray:
-    """gap[i, j] = d(U_i,V_i) + d(W_j,X_j) minus the larger other pairing sum."""
-    U, V = U[:, None], V[:, None]
-    s2 = d32[U, W] + d32[V, X]
-    s3 = d32[U, X] + d32[V, W]
-    return DUV[:, None] + DWX - np.maximum(s2, s3)
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Per tile of ``_TILE`` columns from j0: gap[i, j] = d(U_i,V_i) +
+    d(W_j,X_j) minus the larger other pairing sum.
+
+    The rows of U and V are gathered from the int16 matrix once and only
+    they are widened to int32: a sum of two int16 distances overflows int16
+    once twice the diameter passes 32,767.  Each tile then indexes their
+    columns along one axis.
+    """
+    du = dist[U].astype(np.int32)
+    dv = dist[V].astype(np.int32)
+    for j0 in range(0, W.shape[0], _TILE):
+        w, x = W[j0:j0 + _TILE], X[j0:j0 + _TILE]
+        s2 = du[:, w]
+        s2 += dv[:, x]
+        s3 = du[:, x]
+        s3 += dv[:, w]
+        np.maximum(s2, s3, out=s2)
+        np.subtract(DWX[j0:j0 + _TILE], s2, out=s2)
+        s2 += DUV[:, None]
+        yield j0, s2
 
 
 def hyperbolicity(
@@ -202,11 +239,10 @@ def hyperbolicity(
     dist = dm.dist
     iu, iv = (a.astype(np.int32) for a in np.nonzero(np.triu(_far_apart(g, dist), 1)))
     duv = dist[iu, iv].astype(np.int32)
-    d32 = dist.astype(np.int32)
-    best = _value_pass(d32, iu, iv, duv)
+    best = _value_pass(dist, iu, iv, duv)
     if best == 0:
         return HalfInt(0), zero_witness
-    q = _witness_pass(d32, iu, iv, duv, best)
+    q = _witness_pass(dist, iu, iv, duv, best)
     sums = _sums(dm, *q)
     top = sorted(sums)
     assert top[2] - top[1] == best, "scan/recheck mismatch"
@@ -214,7 +250,7 @@ def hyperbolicity(
 
 
 def _value_pass(
-    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray
+    dist: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray
 ) -> int:
     """Twice the delta: the largest gap over pairs of pairs, both above it."""
     order = np.argsort(-duv, kind="stable")
@@ -226,18 +262,18 @@ def _value_pass(
         i1 = min(i0 + _CHUNK, d_arr.shape[0])
         # a pair at distance <= best cannot lie in a gap above best
         jmax = min(int(np.searchsorted(-d_arr, -best, side="left")), i1)
-        U, V, DUV = u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1]
         # a pairing visited twice, once from each of its pairs, only repeats
         # its gap, so the columns may reach past the diagonal up to i1
-        for j0 in range(0, jmax, _TILE):
-            j1 = min(j0 + _TILE, jmax)
-            gap = _gaps(d32, U, V, DUV, u_arr[j0:j1], v_arr[j0:j1], d_arr[j0:j1])
+        for _, gap in _gaps(
+            dist, u_arr[i0:i1], v_arr[i0:i1], d_arr[i0:i1],
+            u_arr[:jmax], v_arr[:jmax], d_arr[:jmax],
+        ):
             best = max(best, int(gap.max()))
     return best
 
 
 def _witness_pass(
-    d32: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray, best: int
+    dist: np.ndarray, iu: np.ndarray, iv: np.ndarray, duv: np.ndarray, best: int
 ) -> tuple[int, int, int, int]:
     """The lex-min sorted quadruple of two far-apart pairs with gap ``best``.
 
@@ -246,29 +282,27 @@ def _witness_pass(
     columns.  The first a with a hit is the smallest vertex of every
     maximizer, and every maximizer with smallest vertex a is among its hits.
     """
+    # np.nonzero listed the pairs in (u, v) order, and the filter keeps it
     keep = duv >= best
-    iu, iv, duv = iu[keep], iv[keep], duv[keep]
-    order = np.lexsort((iv, iu))
-    u_arr, v_arr, d_arr = iu[order], iv[order], duv[order]
+    u_arr, v_arr, d_arr = iu[keep], iv[keep], duv[keep]
     npairs = d_arr.shape[0]
     # the pairs with first vertex a occupy positions [starts[a], starts[a + 1])
-    starts = np.searchsorted(u_arr, np.arange(d32.shape[0] + 1))
-    for a in range(d32.shape[0]):
+    starts = np.searchsorted(u_arr, np.arange(dist.shape[0] + 1))
+    for a in range(dist.shape[0]):
         r0, r1 = int(starts[a]), int(starts[a + 1])
         if r1 == npairs:
             break
         found = None
+        W, X = u_arr[r1:], v_arr[r1:]
         for i0 in range(r0, r1, _CHUNK):
             i1 = min(i0 + _CHUNK, r1)
-            V, DUV = v_arr[i0:i1], d_arr[i0:i1]
-            for j0 in range(r1, npairs, _TILE):
-                j1 = min(j0 + _TILE, npairs)
-                W, X = u_arr[j0:j1], v_arr[j0:j1]
-                gap = _gaps(d32, u_arr[i0:i1], V, DUV, W, X, d_arr[j0:j1])
+            V = v_arr[i0:i1]
+            for j0, gap in _gaps(dist, u_arr[i0:i1], V, d_arr[i0:i1], W, X, d_arr[r1:]):
                 hits = np.argwhere(gap == best)
                 if not hits.size:
                     continue
-                rest = np.stack([V[hits[:, 0]], W[hits[:, 1]], X[hits[:, 1]]], axis=1)
+                cols = hits[:, 1] + j0
+                rest = np.stack([V[hits[:, 0]], W[cols], X[cols]], axis=1)
                 rest.sort(axis=1)
                 pick = np.lexsort((rest[:, 2], rest[:, 1], rest[:, 0]))[0]
                 cand = tuple(int(t) for t in rest[pick])

@@ -28,6 +28,7 @@ adjacency of G and of a built G^2, one bit position at a time.
 """
 from __future__ import annotations
 
+import random
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -254,6 +255,30 @@ def atlas_connected_graphs(max_n: int = 7) -> list[Graph]:
             continue
         out.append(from_networkx(ag))
     return out
+
+
+def star_graph(leaves: int) -> Graph:
+    """K(1, leaves), centred at vertex 0."""
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)], name=f"star-{leaves}")
+
+
+def random_tree(n: int, seed: int) -> Graph:
+    """A seeded random recursive tree: vertex v hangs below a random u < v."""
+    rng = random.Random(seed)
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)], name=f"tree-{n}-{seed}")
+
+
+def clique_cactus(sizes: Sequence[int], seed: int) -> Graph:
+    """Cliques of the given sizes, each glued at one vertex to a random
+    earlier vertex, so that every block is one of them."""
+    rng = random.Random(seed)
+    edges: list[tuple[int, int]] = []
+    n = 1
+    for b in sizes:
+        clique = [rng.randrange(n), *range(n, n + b - 1)]
+        n += b - 1
+        edges += list(combinations(clique, 2))
+    return Graph(n, edges, name=f"cactus-{seed}")
 
 
 def distinct_disks(

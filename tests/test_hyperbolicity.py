@@ -1,7 +1,9 @@
 """Four-point hyperbolicity, interval slices, and interval thinness."""
 from __future__ import annotations
 
+import importlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +27,15 @@ from hellymetric.hyperbolicity import is_block_graph, quadruple_delta
 from oracles import (
     brute_hyperbolicity,
     brute_thinness,
+    clique_cactus,
     gromov_product,
+    random_tree,
+    star_graph,
     tie_scan_hyperbolicity,
 )
+
+# the package re-exports a function under the module's name
+scan_module = importlib.import_module("hellymetric.hyperbolicity")
 
 
 def glued_blocks_graph() -> Graph:
@@ -80,6 +88,75 @@ def test_is_block_graph_rejects_long_cycles() -> None:
     assert not is_block_graph(king_grid(3, 3))
     assert is_block_graph(complete_graph(4))
     assert is_block_graph(path_graph(7))
+
+
+def dfs_is_block_graph(g: Graph) -> bool:
+    """The biconnected-component test alone: every component a clique."""
+    return all(
+        g.has_edge(u, v)
+        for comp in scan_module._biconnected_components(g)
+        for u, v in combinations(sorted(comp), 2)
+    )
+
+
+def test_is_block_graph_is_zero_hyperbolicity(atlas_graphs) -> None:
+    graphs = atlas_graphs + [
+        random_connected_graph(5 + seed % 8, 0.2 + 0.1 * (seed % 6), seed)
+        for seed in range(120)
+    ]
+    for g in graphs:
+        expected = brute_hyperbolicity(g) == 0
+        assert is_block_graph(g) == expected == dfs_is_block_graph(g), g.edges()
+
+
+def k3_chain(t: int) -> Graph:
+    """t triangles in a row, consecutive ones sharing a vertex."""
+    edges = []
+    for i in range(t):
+        a, b, c = 2 * i, 2 * i + 1, 2 * i + 2
+        edges += [(a, b), (a, c), (b, c)]
+    return Graph(2 * t + 1, edges, name=f"k3-chain-{t}")
+
+
+DIAMOND = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], name="diamond")
+FOUR_SUN = Graph(
+    8,
+    list(combinations(range(4), 2))
+    + [(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3), (7, 3), (7, 0)],
+    name="4-sun",
+)
+
+# (graph, is a block graph, the triangle count alone rejects it)
+BLOCK_CASES = (
+    [(random_tree(n, n), True, False) for n in (3, 10, 60)]
+    + [(star_graph(k), True, False) for k in (2, 5, 40)]
+    + [(path_graph(9), True, False)]
+    # a chain of triangles has exactly as many triangles as its cycle rank
+    + [(k3_chain(t), True, False) for t in (1, 2, 7)]
+    + [(complete_graph(n), True, False) for n in (3, 4, 7)]
+    + [(clique_cactus(sizes, seed), True, False)
+       for seed, sizes in enumerate(([3, 4, 2, 5], [6, 3, 3, 2, 4, 3], [2, 2, 3]))]
+    + [(cycle_graph(n), False, True) for n in range(4, 10)]
+    # two triangles against a cycle rank of two: the DFS must reject it
+    + [(DIAMOND, False, False), (FOUR_SUN, False, False)]
+    + [(king_grid(p, q), False, False) for p, q in ((3, 3), (3, 5), (6, 6))]
+)
+
+
+@pytest.mark.parametrize(
+    "g, block, counted", BLOCK_CASES, ids=[g.name for g, _, _ in BLOCK_CASES]
+)
+def test_triangle_count_only_rejects_non_block_graphs(
+    g: Graph, block: bool, counted: bool, monkeypatch
+) -> None:
+    assert dfs_is_block_graph(g) == block
+    calls = []
+    dfs = scan_module._biconnected_components
+    monkeypatch.setattr(
+        scan_module, "_biconnected_components", lambda g: calls.append(g) or dfs(g)
+    )
+    assert is_block_graph(g) == block
+    assert len(calls) == (0 if counted else 1)
 
 
 def test_king_grid_golden() -> None:

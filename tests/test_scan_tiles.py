@@ -1,7 +1,9 @@
 """The hyperbolicity scan tiled over columns: same result, bounded memory.
 
 Both passes of the scan, the value pass and the witness pass, tile their
-columns by ``_TILE``.
+columns by ``_TILE`` and gather only the rows of their current chunk, so
+no n x n copy of the distance matrix is made.  Block graphs stop before any
+n x n array is built.
 """
 from __future__ import annotations
 
@@ -9,7 +11,11 @@ import importlib
 import random
 import tracemalloc
 
-from hellymetric import Graph, apsp, hyperbolicity, random_connected_graph
+import pytest
+
+from hellymetric import Graph, apsp, hyperbolicity, king_grid, random_connected_graph
+
+from oracles import random_tree, star_graph
 
 # the package re-exports a function under the module's name
 scan_module = importlib.import_module("hellymetric.hyperbolicity")
@@ -45,6 +51,35 @@ def test_scan_peak_allocation_follows_the_tile(monkeypatch) -> None:
         tracemalloc.stop()
     assert value.doubled == 4
     assert peak < 6 * 2**20
+
+
+def traced_peak(g: Graph) -> tuple[int, int]:
+    """The doubled value of ``hyperbolicity`` and its traced peak in bytes."""
+    dm = apsp(g)
+    tracemalloc.start()
+    try:
+        value, _ = hyperbolicity(g, dm=dm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value.doubled, peak
+
+
+def test_scan_peak_is_under_five_bytes_per_matrix_cell() -> None:
+    # The far-apart mask sets the peak, near 4.2 bytes per cell; an int32
+    # copy of the matrix would add 4 (5.7 bytes per cell with one).
+    g = king_grid(40, 40)
+    doubled, peak = traced_peak(g)
+    assert doubled == 38
+    assert peak < 5 * g.n**2
+
+
+@pytest.mark.parametrize("g", [star_graph(2999), random_tree(3000, 1)], ids=["star", "tree"])
+def test_block_graphs_stop_before_the_pair_list(g: Graph) -> None:
+    # near 0.8 MB of DFS bookkeeping; one n x n boolean mask would be 9 MB
+    doubled, peak = traced_peak(g)
+    assert doubled == 0
+    assert peak < 2 * 2**20
 
 
 def c4_cactus(t: int, seed: int) -> Graph:
