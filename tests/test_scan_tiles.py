@@ -66,8 +66,8 @@ def traced_peak(g: Graph) -> tuple[int, int]:
 
 
 def test_scan_peak_is_under_five_bytes_per_matrix_cell() -> None:
-    # The far-apart mask sets the peak, near 4.2 bytes per cell; an int32
-    # copy of the matrix would add 4 (5.7 bytes per cell with one).
+    # The far-apart mask sets the peak, near 4.2 bytes per cell; a scan
+    # that keeps an int32 copy of the matrix peaks near 5.7.
     g = king_grid(40, 40)
     doubled, peak = traced_peak(g)
     assert doubled == 38
