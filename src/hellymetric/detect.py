@@ -43,23 +43,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .distances import DistanceMatrix, apsp
+from .distances import DistanceMatrix, apsp, bit_rows
 from .families import (
     Cell,
-    cell_dist,
+    cell_metric,
     expected_corner_pattern,
     family_cells,
     family_corner_cells,
 )
 from .graphs import Graph
 from .halfint import HalfInt
-from .helly import (
-    DiskConstraint,
-    HellyCheck,
-    find_median,
-    is_helly,
-    pick_common_vertex,
-)
+from .helly import DiskConstraint, HellyCheck, find_median, is_helly
 from .hyperbolicity import (
     HyperbolicityWitness,
     ThinnessWitness,
@@ -105,16 +99,10 @@ class ObstructionWitness:
 
 
 # ---------------------------------------------------------------------------
-# Materialization by repeated common-vertex picks
+# Materialization by lowest common vertices of the placement disks
 # ---------------------------------------------------------------------------
 
 _CELL_STEPS = ((-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0))
-
-
-def _cell_neighbors(cell: Cell, cellset: frozenset[Cell]) -> list[Cell]:
-    s, t = cell
-    out = [(s + ds, t + dt) for ds, dt in _CELL_STEPS]
-    return [c for c in out if c in cellset]
 
 
 def _realizes_corner_pattern(
@@ -129,6 +117,7 @@ def _realizes_corner_pattern(
 
 
 def _anchored_placement(
+    g: Graph,
     dm: DistanceMatrix,
     family: str,
     k: int,
@@ -138,13 +127,19 @@ def _anchored_placement(
     """Place an isometric family copy with the corner cells on ``anchors``.
 
     The anchors must realize the family's exact corner distance pattern.
-    Each remaining cell, in breadth-first order from the corners, goes to
-    the lowest-id vertex lying in all its placement disks: one disk per
-    corner (radius = cell distance to that corner) plus one unit disk per
-    already placed neighboring cell.  On Helly graphs every pick succeeds;
-    a failed pick raises MaterializeError carrying the infeasible disks.
-    The finished placement is rechecked pair-by-pair against the cell
-    metric, which also forces injectivity.
+    Each remaining cell goes to the lowest-id vertex lying in all its
+    placement disks: one disk per corner (radius = cell distance to that
+    corner) plus one unit disk, the closed neighbourhood, per already placed
+    neighbouring cell.  Cells are placed by distance to the nearest corner,
+    then lexicographically.  That is breadth-first from the corners: the
+    cells sit isometrically in the King grid, so a cell's distance in the
+    cell metric is its breadth-first level, and ``family_cells`` is sorted.
+    The four corner disks of every cell are intersected at once, as one
+    cells x n boolean array packed into bit rows; the unit disks are ANDed
+    in per cell.  On Helly graphs every pick succeeds; a failed pick raises
+    MaterializeError carrying the infeasible disks.  The finished placement
+    is rechecked pair-by-pair against the cell metric, which also forces
+    injectivity.
     """
     cells = family_cells(family, k, l)
     corner_cells = family_corner_cells(family, k, l)
@@ -156,51 +151,41 @@ def _anchored_placement(
             f"{dm.d(d, a)}), diagonals ({dm.d(a, c)}, {dm.d(b, d)})"
         )
 
-    cellset = frozenset(cells)
-    placement: dict[Cell, int] = dict(zip(corner_cells, anchors))
-    seen = set(corner_cells)
-    frontier = sorted(corner_cells)
-    order: list[Cell] = []
-    while frontier:
-        nxt = set()
-        for p in frontier:
-            for q in _cell_neighbors(p, cellset):
-                if q not in seen:
-                    seen.add(q)
-                    nxt.add(q)
-        frontier = sorted(nxt)
-        order.extend(frontier)
-    assert len(seen) == len(cells), "family cells not connected from corners"
+    metric = cell_metric(cells)
+    radii = metric[:, [cells.index(cc) for cc in corner_cells]]
+    inside = dm.dist[anchors[0]] <= radii[:, :1]
+    for j in range(1, 4):
+        inside &= dm.dist[anchors[j]] <= radii[:, j:j + 1]
+    corner_disks = bit_rows(inside)
 
-    corner_list = list(zip(corner_cells, anchors))
-    for p in order:
-        cons = [DiskConstraint(av, cell_dist(p, ac)) for ac, av in corner_list]
-        for q in _cell_neighbors(p, cellset):
-            if q in placement:
-                cons.append(DiskConstraint(placement[q], 1))
-        v = pick_common_vertex(dm, cons)
-        if v is None:
+    placement: dict[Cell, int] = dict(zip(corner_cells, anchors))
+    for i in np.argsort(radii.min(axis=1), kind="stable")[4:].tolist():
+        s, t = p = cells[i]
+        steps = ((s + ds, t + dt) for ds, dt in _CELL_STEPS)
+        placed = [placement[q] for q in steps if q in placement]
+        common = corner_disks[i]
+        for v in placed:
+            common &= g.adj_bits[v] | 1 << v
+        if not common:
             raise MaterializeError(
                 f"no vertex satisfies the placement disks for cell {p} "
                 f"of {family}({k},{l})",
-                tuple(cons),
+                tuple(
+                    DiskConstraint(av, int(r)) for av, r in zip(anchors, radii[i])
+                )
+                + tuple(DiskConstraint(v, 1) for v in placed),
             )
-        placement[p] = v
+        placement[p] = (common & -common).bit_length() - 1
 
-    ids = np.array([placement[cc] for cc in cells], dtype=np.int64)
-    arr = np.array(cells, dtype=np.int64)
-    want = (
-        np.abs(arr[:, 0][:, None] - arr[:, 0][None, :])
-        + np.abs(arr[:, 1][:, None] - arr[:, 1][None, :])
-    ) // 2
-    got = dm.dist[np.ix_(ids, ids)]
-    bad = np.argwhere(got != want)
+    ids = np.array([placement[cc] for cc in cells])
+    got = dm.dist[ids[:, None], ids]
+    bad = np.argwhere(got != metric)
     if bad.size:
         i, j = int(bad[0][0]), int(bad[0][1])
         raise MaterializeError(
             f"materialized {family}({k},{l}) copy is not isometric: cells "
             f"{cells[i]} -> {int(ids[i])} and {cells[j]} -> {int(ids[j])} are at "
-            f"distance {int(got[i, j])}, expected {int(want[i, j])}"
+            f"distance {int(got[i, j])}, expected {int(metric[i, j])}"
         )
     return placement
 
@@ -252,12 +237,12 @@ def _certify(
     same family).  Anything else raises MaterializeError.
     """
     if _realizes_corner_pattern(dm, family, k, l, quad):
-        placement = _anchored_placement(dm, family, k, l, quad)
+        placement = _anchored_placement(g, dm, family, k, l, quad)
         return _make_witness(family, k, l, placement, quad)
     if family == "H2" and k == l and _realizes_corner_pattern(
         dm, "H1", k + 1, k + 1, quad
     ):
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, quad)
+        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
         return _make_witness(family, k, k, placement, quad, shift=(1, 1))
     if family in ("H1", "H3") and k == l:
         probe = k - 1 if family == "H1" else k
@@ -455,10 +440,10 @@ def resolve_window_quadruple(
             dxz, dyt = d(x, z), d(y, t)
         if dyt == 2 * k + 4:
             # both diagonals maximal: the quadruple is an H1(k+2,k+2) frame
-            placement = _anchored_placement(dm, "H1", k + 2, k + 2, quad)
+            placement = _anchored_placement(g, dm, "H1", k + 2, k + 2, quad)
             return _make_witness("H1", k + 1, k + 1, placement, scanned)
         # mixed diagonals: an H2(k+1,k+1) frame, long diagonal on (x,z)
-        placement = _anchored_placement(dm, "H2", k + 1, k + 1, quad)
+        placement = _anchored_placement(g, dm, "H2", k + 1, k + 1, quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     # both diagonals 2k+3; sides are k+1 or k+2, and two adjacent sides
@@ -474,7 +459,7 @@ def resolve_window_quadruple(
 
     if n_short == 2:
         # two opposite short sides: a rectangular H1(k+2, k+1) frame
-        placement = _anchored_placement(dm, "H1", k + 2, k + 1, quad)
+        placement = _anchored_placement(g, dm, "H1", k + 2, k + 1, quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     if n_short == 1:
@@ -491,7 +476,7 @@ def resolve_window_quadruple(
                 f"median of ({x},{z2},{t}) must be a vertex here"
             )
         new_quad = (x, y, z2, med2.vertex)
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
 
     # all sides k+2: probe the two corner medians; if either derived inner
@@ -512,7 +497,7 @@ def resolve_window_quadruple(
                 f"median of ({y_x},{z},{t_x}) must be a vertex here"
             )
         new_quad = (x, y_x, mv.vertex, t_x)
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
     if d(t_z, y_z) == 2 * k + 2:
         mv = find_median(g, y_z, x, t_z, dm=dm)
@@ -521,9 +506,9 @@ def resolve_window_quadruple(
                 f"median of ({y_z},{x},{t_z}) must be a vertex here"
             )
         new_quad = (z, y_z, mv.vertex, t_z)
-        placement = _anchored_placement(dm, "H1", k + 1, k + 1, new_quad)
+        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
         return _make_witness("H1", k + 1, k + 1, placement, scanned)
-    placement = _anchored_placement(dm, "H3", k, k, quad)
+    placement = _anchored_placement(g, dm, "H3", k, k, quad)
     return _make_witness("H3", k, k, placement, scanned)
 
 

@@ -1,9 +1,9 @@
 """All-pairs distances and the distance-derived machinery.
 
 The distance matrix is the workhorse of every scan in the package; it is
-computed once per graph and carries lazy caches of ball bitmasks (disk
-membership), each packed from one row of the matrix, and power-adjacency
-bitmasks, packed from a block of rows at once.
+computed once per graph and carries one lazy cache, of power-adjacency
+bitmasks, each power packed from a block of rows at once.  Disk membership
+is read straight off the int16 rows where it is needed.
 
 ``apsp`` has two kernels.  The all-sources kernel runs the BFS from every
 source at once: row v of an n x ceil(n/64) matrix of 64-bit words holds one
@@ -40,10 +40,11 @@ _UNPACK_BYTES = 1 << 22
 class DistanceMatrix:
     """Dense exact distances plus eccentricities, diameter, radius.
 
-    Immutable after construction.
+    Immutable after construction.  It holds one cache, the power rows of
+    ``power_rows``.
     """
 
-    __slots__ = ("n", "dist", "ecc", "diam", "rad", "_balls", "_power_rows")
+    __slots__ = ("n", "dist", "ecc", "diam", "rad", "_power_rows")
 
     def __init__(self, dist: np.ndarray) -> None:
         self.n = int(dist.shape[0])
@@ -51,23 +52,10 @@ class DistanceMatrix:
         self.ecc = dist.max(axis=1)
         self.diam = int(self.ecc.max())
         self.rad = int(self.ecc.min())
-        self._balls: list[dict[int, int]] = [dict() for _ in range(self.n)]
         self._power_rows: dict[int, list[int]] = {}
 
     def d(self, u: int, v: int) -> int:
         return int(self.dist[u, v])
-
-    def ball_bits(self, center: int, radius: int) -> int:
-        """Bitmask of the disk D(center, radius); radius capped at ecc."""
-        r = min(int(radius), int(self.ecc[center]))
-        if r < 0:
-            return 0
-        cache = self._balls[center]
-        mask = cache.get(r)
-        if mask is None:
-            (mask,) = bit_rows(self.dist[center:center + 1] <= r)
-            cache[r] = mask
-        return mask
 
     def power_rows(self, ell: int) -> list[int]:
         """Per-vertex bitmasks of the ell-th power's adjacency (no self-bit).

@@ -23,6 +23,7 @@ Shapes (parameters k, l >= 0 unless noted):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -41,9 +42,21 @@ class FamilyValidationError(AssertionError):
     """A built family failed one of its structural checks."""
 
 
-def cell_dist(c1: Cell, c2: Cell) -> int:
-    """King-move distance between two rotated-coordinate cells."""
-    return (abs(c1[0] - c2[0]) + abs(c1[1] - c2[1])) // 2
+def cell_metric(cells: Sequence[Cell]) -> np.ndarray:
+    """King-move distances between rotated-coordinate cells, an int16 matrix.
+
+    Entry [i, j] is max(|dx|, |dy|) in the unrotated coordinates
+    x = (s + t) / 2, y = (s - t) / 2, which equals (|ds| + |dt|) / 2.  With
+    x and y shifted to start at 0, no intermediate exceeds the largest
+    entry, so int16 holds every cell metric an int16 distance matrix can
+    match.
+    """
+    s, t = np.array(cells, dtype=np.int64).T
+    xy = np.stack((s + t, s - t)) >> 1
+    x, y = (xy - xy.min(axis=1, keepdims=True)).astype(np.int16)
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
 
 
 def _rect_cells(s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> list[Cell]:
@@ -240,11 +253,7 @@ def validate_family(fg: FamilyGraph) -> dict[str, bool]:
     record("size", g.n == family_size(fam, k, l), f"(n={g.n})")
 
     dm = apsp(g)
-    cells = np.array(fg.cells, dtype=np.int64)
-    ds = np.abs(cells[:, 0][:, None] - cells[:, 0][None, :])
-    dt = np.abs(cells[:, 1][:, None] - cells[:, 1][None, :])
-    expected = (ds + dt) // 2
-    record("metric_matches_cells", bool((dm.dist == expected).all()))
+    record("metric_matches_cells", bool((dm.dist == cell_metric(fg.cells)).all()))
 
     a, b, c, d = fg.corners
     pat = expected_corner_pattern(fam, k, l)

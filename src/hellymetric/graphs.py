@@ -192,6 +192,10 @@ def load_graph(text: str, *, name: str = "") -> Graph:
         max_id = max(max_id, u, v)
     if not edges:
         raise GraphError("empty edge set")
+    # a connected graph on ids 0..max_id has at least max_id distinct edges;
+    # refusing fewer here keeps a huge stray id from allocating its vertices
+    if max_id > len(edges):
+        raise DisconnectedGraphError("input graph is not connected")
     g = Graph(max_id + 1, edges, name=name)
     if not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")

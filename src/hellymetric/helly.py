@@ -58,6 +58,12 @@ interpreter steps few:
 The loops these replaced are the test oracles
 ``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
 ``list_walk_undominated_c4``.
+
+The common-vertex primitive ``pick_common_vertex`` returns the lowest-id
+vertex in a family of disks.  It compares the distance rows of the disk
+centers with their radii in one numpy step and keeps no cache of disk
+masks; the materialization of ``detect`` intersects its own corner disks
+the same way, a whole copy at a time.
 """
 from __future__ import annotations
 
@@ -133,13 +139,15 @@ class MedianResult:
 def pick_common_vertex(
     dm: DistanceMatrix, constraints: Sequence[DiskConstraint]
 ) -> int | None:
-    """Lowest-id vertex inside every disk, or None if the disks share nothing."""
-    mask = (1 << dm.n) - 1
-    for c in constraints:
-        mask &= dm.ball_bits(c.center, c.radius)
-        if not mask:
-            return None
-    return (mask & -mask).bit_length() - 1
+    """Lowest-id vertex inside every disk, or None if the disks share nothing.
+
+    The disks are intersected in one numpy step over the distance rows of
+    their centers; nothing is cached.
+    """
+    centers = [c.center for c in constraints]
+    radii = np.array([c.radius for c in constraints]).reshape(-1, 1)
+    common = np.flatnonzero((dm.dist[centers] <= radii).all(axis=0))
+    return int(common[0]) if common.size else None
 
 
 # ---------------------------------------------------------------------------

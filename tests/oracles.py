@@ -3,7 +3,8 @@
 The oracles recompute results from the raw adjacency structure with naive
 algorithms (dict BFS, exhaustive enumeration) and share no code with the
 package internals.  The exceptions at the end of the file run on the
-package's distance matrix: ``helly_bruteforce`` and
+package's distance matrix, whose disk masks the oracles pack themselves
+(``packed_balls``): ``helly_bruteforce`` and
 ``pseudo_modular_bruteforce`` enumerate its distinct disks
 (``distinct_disks``, size-capped by ``EnumerationBudgetError``),
 ``triple_witness`` runs the vertex-triple test on its distance rows and
@@ -22,9 +23,11 @@ pair at a time,
 v at a time, ``list_walk_clique_helly_fails`` and
 ``list_walk_undominated_c4`` test conditions (c) and (d) over lists of bit
 ids, every triangle through its member loop and one ``np.nonzero`` call per
-vertex, and ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
+vertex, ``bit_walk_power_window``, ``bit_walk_power_split_diagonal``
 and ``bit_walk_c4_flags`` step through its power rows, and through the
-adjacency of G and of a built G^2, one bit position at a time.
+adjacency of G and of a built G^2, one bit position at a time, and
+``bfs_pick_placement`` places a certified copy one cell at a time, in the
+breadth-first order of ``bfs_cell_order``, over its disk masks.
 """
 from __future__ import annotations
 
@@ -33,9 +36,10 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from operator import sub
-from typing import Sequence
+from typing import Callable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -46,11 +50,15 @@ from hellymetric import (
     DistanceMatrix,
     Graph,
     HalfInt,
+    MaterializeError,
     PseudoModularCheck,
     ThinnessWitness,
     apsp,
+    expected_corner_pattern,
+    family_cells,
     graph_power,
 )
+from hellymetric.families import family_corner_cells
 from hellymetric.hull import HullBudgetError, resolve_budget
 from hellymetric.hyperbolicity import (
     HyperbolicityWitness,
@@ -96,6 +104,23 @@ def loop_ball_bits(dm: DistanceMatrix, center: int, radius: int) -> int:
         if dm.d(center, v) <= radius:
             mask |= 1 << v
     return mask
+
+
+@lru_cache(maxsize=8)
+def packed_balls(dm: DistanceMatrix) -> Callable[[int, int], int]:
+    """The disk masks of ``dm``: ball(center, radius) is the bitmask of
+    D(center, radius), packed with one ``np.packbits`` call on first use and
+    cached per (center, radius); the last few matrices keep their caches."""
+    cache: dict[tuple[int, int], int] = {}
+
+    def ball(center: int, radius: int) -> int:
+        mask = cache.get((center, radius))
+        if mask is None:
+            row = np.packbits(dm.dist[center] <= radius, bitorder="little")
+            mask = cache[center, radius] = int.from_bytes(row.tobytes(), "little")
+        return mask
+
+    return ball
 
 
 def brute_hyperbolicity(g: Graph) -> Fraction:
@@ -288,11 +313,12 @@ def distinct_disks(
 
     Raises EnumerationBudgetError past ``max_disks`` disks."""
     full = (1 << dm.n) - 1
+    ball = packed_balls(dm)
     seen: set[int] = set()
     out: list[tuple[int, DiskConstraint]] = []
     for v in range(dm.n):
         for r in range(int(dm.ecc[v]) + 1):
-            mask = dm.ball_bits(v, r)
+            mask = ball(v, r)
             if mask == full or mask in seen:
                 continue
             seen.add(mask)
@@ -374,7 +400,7 @@ def triple_witness(dm: DistanceMatrix) -> tuple[DiskConstraint, ...] | None:
     n = dm.n
     dist = dm.dist
     rows = dist.tolist()
-    ball = dm.ball_bits
+    ball = packed_balls(dm)
     for a in range(n):
         da_np = dist[a]
         da = rows[a]
@@ -421,7 +447,8 @@ def _minimize_empty_family(
     inherit that."""
     n = dm.n
     keep = list(range(n))
-    masks = {v: dm.ball_bits(v, int(radii[v])) for v in keep}
+    ball = packed_balls(dm)
+    masks = {v: ball(v, int(radii[v])) for v in keep}
 
     def empty(ids: Sequence[int]) -> bool:
         m = (1 << n) - 1
@@ -1134,3 +1161,106 @@ def list_walk_undominated_c4(
                     if not (dom & adj[d]):
                         return tuple(DiskConstraint(x, 1) for x in (a, b, c, d))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Placement of a certified copy, cell by cell
+# ---------------------------------------------------------------------------
+
+Cell = tuple[int, int]
+
+_CELL_STEPS = ((-2, 0), (-1, -1), (-1, 1), (0, -2), (0, 2), (1, -1), (1, 1), (2, 0))
+
+
+def oracle_cell_dist(c1: Cell, c2: Cell) -> int:
+    """King-move distance between two rotated-coordinate cells."""
+    return (abs(c1[0] - c2[0]) + abs(c1[1] - c2[1])) // 2
+
+
+def _cell_neighbors(cell: Cell, cellset: frozenset[Cell]) -> list[Cell]:
+    s, t = cell
+    out = [(s + ds, t + dt) for ds, dt in _CELL_STEPS]
+    return [c for c in out if c in cellset]
+
+
+def bfs_cell_order(family: str, k: int, l: int) -> list[Cell]:
+    """The family's non-corner cells in breadth-first order from the corners,
+    each level sorted, by a hand-written BFS over king steps."""
+    cells = family_cells(family, k, l)
+    corner_cells = family_corner_cells(family, k, l)
+    cellset = frozenset(cells)
+    seen = set(corner_cells)
+    frontier = sorted(corner_cells)
+    order: list[Cell] = []
+    while frontier:
+        nxt = set()
+        for p in frontier:
+            for q in _cell_neighbors(p, cellset):
+                if q not in seen:
+                    seen.add(q)
+                    nxt.add(q)
+        frontier = sorted(nxt)
+        order.extend(frontier)
+    assert len(seen) == len(cells), "family cells not connected from corners"
+    return order
+
+
+def bfs_pick_placement(
+    dm: DistanceMatrix,
+    family: str,
+    k: int,
+    l: int,
+    anchors: tuple[int, int, int, int],
+) -> dict[Cell, int]:
+    """An isometric family copy with the corner cells on ``anchors``, placed
+    one cell at a time in ``bfs_cell_order``: each cell goes to the lowest
+    vertex of the AND of its ball masks, one per corner and one unit disk
+    per placed neighbour, and the copy is rechecked against int64 cell
+    distances.  Raises MaterializeError with the texts and disks of
+    ``detect._anchored_placement``."""
+    d = dm.d
+    pat = expected_corner_pattern(family, k, l)
+    a, b, c, e = anchors
+    sides = (d(a, b), d(b, c), d(c, e), d(e, a))
+    if sides != pat.sides or (d(a, c), d(b, e)) != pat.diagonals:
+        raise MaterializeError(
+            f"anchors {anchors} do not realize the {family}({k},{l}) corner "
+            f"pattern: sides {sides}, diagonals ({d(a, c)}, {d(b, e)})"
+        )
+    cells = family_cells(family, k, l)
+    cellset = frozenset(cells)
+    corner_list = list(zip(family_corner_cells(family, k, l), anchors))
+    placement: dict[Cell, int] = dict(corner_list)
+    ball = packed_balls(dm)
+    for p in bfs_cell_order(family, k, l):
+        cons = [DiskConstraint(av, oracle_cell_dist(p, ac)) for ac, av in corner_list]
+        for q in _cell_neighbors(p, cellset):
+            if q in placement:
+                cons.append(DiskConstraint(placement[q], 1))
+        mask = (1 << dm.n) - 1
+        for con in cons:
+            mask &= ball(con.center, con.radius)
+        if not mask:
+            raise MaterializeError(
+                f"no vertex satisfies the placement disks for cell {p} "
+                f"of {family}({k},{l})",
+                tuple(cons),
+            )
+        placement[p] = (mask & -mask).bit_length() - 1
+
+    ids = np.array([placement[cc] for cc in cells], dtype=np.int64)
+    arr = np.array(cells, dtype=np.int64)
+    want = (
+        np.abs(arr[:, 0][:, None] - arr[:, 0][None, :])
+        + np.abs(arr[:, 1][:, None] - arr[:, 1][None, :])
+    ) // 2
+    got = dm.dist[np.ix_(ids, ids)].astype(np.int64)
+    bad = np.argwhere(got != want)
+    if bad.size:
+        i, j = int(bad[0][0]), int(bad[0][1])
+        raise MaterializeError(
+            f"materialized {family}({k},{l}) copy is not isometric: cells "
+            f"{cells[i]} -> {int(ids[i])} and {cells[j]} -> {int(ids[j])} are at "
+            f"distance {int(got[i, j])}, expected {int(want[i, j])}"
+        )
+    return placement

@@ -416,6 +416,13 @@ def test_disconnected_file_is_an_input_error(tmp_path, capsys) -> None:
     assert "not connected" in capsys.readouterr().err
 
 
+def test_huge_stray_vertex_id_is_an_input_error(tmp_path, capsys) -> None:
+    p = tmp_path / "stray.edges"
+    p.write_text("0 1\n0 4000000000\n", encoding="utf-8")
+    assert main(["analyze", str(p)]) == 1
+    assert "input graph is not connected" in capsys.readouterr().err
+
+
 def exit_code(argv: list[str]) -> int:
     """The code of the SystemExit that argument parsing raises."""
     with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import all_distances
 
 from hellymetric import (
+    DiskConstraint,
     Graph,
     apsp,
     complete_graph,
@@ -15,6 +16,7 @@ from hellymetric import (
     is_isometric,
     king_grid,
     path_graph,
+    pick_common_vertex,
 )
 from hellymetric.graphs import (
     DisconnectedGraphError,
@@ -88,11 +90,15 @@ def test_isometric_subset_detection() -> None:
     assert is_isometric(c6, [0, 1, 3, 4], dm=dm) == (False, (0, 3))
 
 
-def test_ball_bits_cap_at_eccentricity() -> None:
+def test_pick_common_vertex_caps_radii_at_eccentricity() -> None:
     dm = apsp(path_graph(4))
-    full = (1 << 4) - 1
-    assert dm.ball_bits(0, 99) == full
-    assert dm.ball_bits(1, 1) == 0b0111
+    # a radius past the eccentricity covers every vertex
+    assert pick_common_vertex(dm, [DiskConstraint(3, 99)]) == 0
+    assert pick_common_vertex(dm, [DiskConstraint(0, 99), DiskConstraint(3, 1)]) == 2
+    assert pick_common_vertex(dm, [DiskConstraint(1, 1), DiskConstraint(3, 99)]) == 0
+    # D(0, 1) = {0, 1} and D(3, 1) = {2, 3} share nothing
+    assert pick_common_vertex(dm, [DiskConstraint(0, 1), DiskConstraint(3, 1)]) is None
+    assert pick_common_vertex(dm, [DiskConstraint(2, -1)]) is None
 
 
 @settings(max_examples=60)

@@ -1,6 +1,7 @@
 """Obstruction family builders, structure, validation, and containment."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hellymetric import (
@@ -12,7 +13,7 @@ from hellymetric import (
     family_hyperbolicity,
     family_size,
 )
-from hellymetric.families import cell_dist, cell_to_host, family_corner_cells
+from hellymetric.families import cell_metric, cell_to_host, family_corner_cells
 from hellymetric.report import family_to_dot
 
 from oracles import find_isometric_embedding
@@ -154,11 +155,17 @@ def test_smallest_h3_is_the_complete_4_sun() -> None:
 # ---------------------------------------------------------------------------
 
 def test_cell_dist_is_chebyshev_in_unrotated_coordinates() -> None:
-    assert cell_dist((0, 0), (2, 0)) == 1
-    assert cell_dist((0, 0), (1, 1)) == 1
-    assert cell_dist((0, 0), (0, 2)) == 1
-    assert cell_dist((0, 0), (4, 2)) == 3
-    assert cell_dist((-1, -1), (3, 1)) == 3
+    metric = cell_metric([(0, 0), (2, 0), (1, 1), (0, 2), (4, 2), (-1, -1), (3, 1)])
+    assert metric.dtype == np.int16
+    assert metric[0, 1] == metric[0, 2] == metric[0, 3] == 1
+    assert metric[0, 4] == 3
+    assert metric[5, 6] == 3
+    for family, k, l in [*SQUARE_INSTANCES, ("H1", 2, 5), ("H2", 1, 4), ("H3", 3, 1)]:
+        cells = family_cells(family, k, l)
+        want = [
+            [(abs(s - s2) + abs(t - t2)) // 2 for s2, t2 in cells] for s, t in cells
+        ]
+        assert cell_metric(cells).tolist() == want
 
 
 def test_corner_cells_property_matches_module_function() -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -53,6 +54,20 @@ def test_load_graph_rejects_malformed_lines() -> None:
 def test_load_graph_rejects_disconnected_input() -> None:
     with pytest.raises(DisconnectedGraphError):
         load_graph("0 1\n2 3\n")
+
+
+def test_load_graph_refuses_a_stray_id_before_allocating_it() -> None:
+    # two edges cannot connect 100,001 vertices; the parse stays small
+    tracemalloc.start()
+    try:
+        with pytest.raises(DisconnectedGraphError, match="input graph is not connected"):
+            load_graph("0 1\n0 100000\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a connected input always has enough lines, duplicates included
+    assert load_graph("0 1\n1 2\n0 1\n").n == 3
 
 
 def test_edge_list_roundtrip() -> None:

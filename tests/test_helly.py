@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import EnumerationBudgetError, brute_is_helly, helly_bruteforce
+from oracles import (
+    EnumerationBudgetError,
+    brute_is_helly,
+    helly_bruteforce,
+    loop_ball_bits,
+)
 
 from hellymetric import (
     DiskConstraint,
@@ -51,7 +56,7 @@ def test_c4_fails_with_unit_disk_witness() -> None:
     dm = apsp(cycle_graph(4))
     disks = chk.counterexample
     # witness family pairwise intersects but has empty intersection
-    masks = [dm.ball_bits(c.center, c.radius) for c in disks]
+    masks = [loop_ball_bits(dm, c.center, c.radius) for c in disks]
     inter = (1 << 4) - 1
     for mk in masks:
         inter &= mk

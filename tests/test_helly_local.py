@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import triple_witness
+from oracles import loop_ball_bits, triple_witness
 
 from hellymetric import (
     DiskConstraint,
@@ -63,7 +63,7 @@ def ladder_shapes() -> list[Graph]:
 def assert_certificate(g: Graph, disks) -> None:
     """Pairwise-intersecting disks with an empty common intersection."""
     dm = apsp(g)
-    masks = [dm.ball_bits(c.center, c.radius) for c in disks]
+    masks = [loop_ball_bits(dm, c.center, c.radius) for c in disks]
     common = (1 << g.n) - 1
     for m in masks:
         common &= m
