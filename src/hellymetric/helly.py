@@ -59,11 +59,9 @@ The loops these replaced are the test oracles
 ``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
 ``list_walk_undominated_c4``.
 
-The common-vertex primitive ``pick_common_vertex`` returns the lowest-id
-vertex in a family of disks.  It compares the distance rows of the disk
-centers with their radii in one numpy step and keeps no cache of disk
-masks; the materialization of ``detect`` intersects its own corner disks
-the same way, a whole copy at a time.
+``pick_common_vertex``, the lowest-id vertex in a family of disks, compares
+the distance rows of the disk centers with their radii in one numpy step;
+the package keeps no cache of disk masks.
 """
 from __future__ import annotations
 
