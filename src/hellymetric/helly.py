@@ -58,15 +58,10 @@ interpreter steps few:
 The loops these replaced are the test oracles
 ``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
 ``list_walk_undominated_c4``.
-
-``pick_common_vertex``, the lowest-id vertex in a family of disks, compares
-the distance rows of the disk centers with their radii in one numpy step;
-the package keeps no cache of disk masks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -128,24 +123,6 @@ class MedianResult:
     products: tuple[HalfInt, HalfInt, HalfInt]
     vertex: int | None = None
     triangle: tuple[int, int, int] | None = None
-
-
-# ---------------------------------------------------------------------------
-# Common-vertex pick
-# ---------------------------------------------------------------------------
-
-def pick_common_vertex(
-    dm: DistanceMatrix, constraints: Sequence[DiskConstraint]
-) -> int | None:
-    """Lowest-id vertex inside every disk, or None if the disks share nothing.
-
-    The disks are intersected in one numpy step over the distance rows of
-    their centers; nothing is cached.
-    """
-    centers = [c.center for c in constraints]
-    radii = np.array([c.radius for c in constraints]).reshape(-1, 1)
-    common = np.flatnonzero((dm.dist[centers] <= radii).all(axis=0))
-    return int(common[0]) if common.size else None
 
 
 # ---------------------------------------------------------------------------

@@ -103,88 +103,42 @@ def quadruple_delta(
 
 
 def is_block_graph(g: Graph) -> bool:
-    """Every biconnected component a clique (equivalently: zero hyperbolicity).
+    """Every block a clique (equivalently: zero hyperbolicity), for a
+    connected graph ``g``.
 
-    A triangle count rejects most other graphs before the DFS: a block graph
-    has at least as many triangles as its cycle rank.  Both add up over the
-    blocks (a triangle is biconnected, so it lies in one block), and a clique
-    block on b vertices holds C(b, 3) >= (b - 1)(b - 2)/2 triangles, its
-    share of the rank.  The rank of a block graph with c components is
-    m - n + c >= m - n + 1, so fewer than m - n + 1 triangles rule it out.
-    The count stops once it reaches that bound; the DFS then decides.
+    For each edge uv let K(uv) = N[u] & N[v] (closed neighbourhoods).  Then
+    the sum of |K| - 1 over the distinct K(uv) is at least n - 1, with
+    equality exactly for block graphs.  The vertices and the distinct K(uv),
+    joined by membership, form a connected bipartite graph with n + #K nodes
+    and sum |K| edges, so the sum is at least n - 1, with equality iff that
+    graph is a tree.  In a block graph K(uv) is the block of uv, and blocks
+    and vertices form a tree.  Conversely, let the incidence graph be a
+    tree.  A K(uv) holding two non-adjacent vertices a, b would close the
+    cycle u - K(uv) - a - K(ua) - u, as b is not in K(ua); so each K(uv) is
+    the one maximal clique on uv, a cycle of G through two of them would
+    give a cycle in the tree, and every block is a clique.  The pass stops
+    once the sum passes n - 1.  Connectivity is needed: C4 plus three
+    isolated vertices sums to 4 <= 6.
     """
-    if g.n <= 2:
-        return True
     adj = g.adj_bits
-    rank = g.m - g.n + 1
-    triangles = 0
+    budget = g.n - 1
+    seen: set[int] = set()
     for u in range(g.n):
-        if triangles >= rank:
-            break
+        row = adj[u]
         for v in g.neighbors[u]:
-            if v > u:
-                # the common neighbours above v close a triangle u < v < w
-                triangles += ((adj[u] & adj[v]) >> (v + 1)).bit_count()
-    if triangles < rank:
-        return False
-    for comp in _biconnected_components(g):
-        if len(comp) <= 2:
-            continue
-        bits = 0
-        for v in comp:
-            bits |= 1 << v
-        for v in comp:
-            if bits & ~(adj[v] | (1 << v)):
+            if v < u:
+                continue
+            common = row & adj[v]
+            if common:
+                k = common | 1 << u | 1 << v
+                if k in seen:
+                    continue
+                seen.add(k)
+            # |K(uv)| - 1; K(uv) = {u, v} belongs to this edge alone
+            budget -= common.bit_count() + 1
+            if budget < 0:
                 return False
     return True
-
-
-def _biconnected_components(g: Graph) -> list[set[int]]:
-    """Vertex sets of biconnected components (iterative Hopcroft-Tarjan)."""
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    comps: list[set[int]] = []
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        while stack:
-            v, parent, idx = stack.pop()
-            if idx == 0:
-                disc[v] = low[v] = timer
-                timer += 1
-            advanced = False
-            nbrs = g.neighbors[v]
-            while idx < len(nbrs):
-                w = nbrs[idx]
-                idx += 1
-                if disc[w] == -1:
-                    edge_stack.append((v, w))
-                    stack.append((v, parent, idx))
-                    stack.append((w, v, 0))
-                    advanced = True
-                    break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            if parent != -1:
-                low[parent] = min(low[parent], low[v])
-                if low[v] >= disc[parent]:
-                    comp: set[int] = set()
-                    while edge_stack:
-                        a, b = edge_stack.pop()
-                        comp.add(a)
-                        comp.add(b)
-                        if (a, b) == (parent, v):
-                            break
-                    if comp:
-                        comps.append(comp)
-    return comps
 
 
 def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
@@ -233,7 +187,7 @@ def hyperbolicity(
     """
     dm = dm or apsp(g)
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
-    if g.n < 4 or is_block_graph(g):
+    if is_block_graph(g):
         return HalfInt(0), zero_witness
 
     dist = dm.dist

@@ -12,7 +12,8 @@ disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
 ``reorder_thinness`` batches them per source over a reordered matrix,
 ``all_pairs_hyperbolicity`` is the four-point scan over all of its pairs,
 ``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
-far-apart pairs,
+far-apart pairs (both short-circuit block graphs by ``dfs_is_block_graph``,
+a Hopcroft-Tarjan DFS over the adjacency whose components must be cliques),
 ``box_extremal_functions`` enumerates the hull's candidate box
 under the package's own budget pre-check, ``dfs_extremal_functions`` runs
 the hull search's prunes recursively on one partial function at a time,
@@ -64,7 +65,6 @@ from hellymetric.hyperbolicity import (
     HyperbolicityWitness,
     _far_apart,
     _sums,
-    is_block_graph,
 )
 
 
@@ -570,6 +570,67 @@ def _first_witness(dist: np.ndarray, x: int, tau: int) -> ThinnessWitness:
     raise AssertionError(f"source {x} reached thinness {tau} but no y > x does")
 
 
+def dfs_is_block_graph(g: Graph) -> bool:
+    """Every biconnected component a clique (equivalently: zero hyperbolicity)."""
+    adj = g.adj_bits
+    for comp in dfs_biconnected_components(g):
+        bits = 0
+        for v in comp:
+            bits |= 1 << v
+        for v in comp:
+            if bits & ~(adj[v] | (1 << v)):
+                return False
+    return True
+
+
+def dfs_biconnected_components(g: Graph) -> list[set[int]]:
+    """Vertex sets of biconnected components (iterative Hopcroft-Tarjan)."""
+    n = g.n
+    disc = [-1] * n
+    low = [0] * n
+    comps: list[set[int]] = []
+    edge_stack: list[tuple[int, int]] = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
+        while stack:
+            v, parent, idx = stack.pop()
+            if idx == 0:
+                disc[v] = low[v] = timer
+                timer += 1
+            advanced = False
+            nbrs = g.neighbors[v]
+            while idx < len(nbrs):
+                w = nbrs[idx]
+                idx += 1
+                if disc[w] == -1:
+                    edge_stack.append((v, w))
+                    stack.append((v, parent, idx))
+                    stack.append((w, v, 0))
+                    advanced = True
+                    break
+                if w != parent and disc[w] < disc[v]:
+                    edge_stack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            if advanced:
+                continue
+            if parent != -1:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= disc[parent]:
+                    comp: set[int] = set()
+                    while edge_stack:
+                        a, b = edge_stack.pop()
+                        comp.add(a)
+                        comp.add(b)
+                        if (a, b) == (parent, v):
+                            break
+                    if comp:
+                        comps.append(comp)
+    return comps
+
+
 def all_pairs_hyperbolicity(
     g: Graph, dm: DistanceMatrix, *, threads: int = 1
 ) -> tuple[HalfInt, HyperbolicityWitness]:
@@ -583,7 +644,7 @@ def all_pairs_hyperbolicity(
     """
     chunk, tile = 64, 1 << 14
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
-    if g.n < 4 or is_block_graph(g):
+    if g.n < 4 or dfs_is_block_graph(g):
         return HalfInt(0), zero_witness
 
     dist = dm.dist
@@ -678,7 +739,7 @@ def tie_scan_hyperbolicity(
     """
     chunk, tile = 64, 1 << 14
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
-    if g.n < 4 or is_block_graph(g):
+    if g.n < 4 or dfs_is_block_graph(g):
         return HalfInt(0), zero_witness
 
     dist = dm.dist

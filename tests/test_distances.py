@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from oracles import all_distances
 
 from hellymetric import (
-    DiskConstraint,
     Graph,
     apsp,
     complete_graph,
@@ -16,7 +15,6 @@ from hellymetric import (
     is_isometric,
     king_grid,
     path_graph,
-    pick_common_vertex,
 )
 from hellymetric.graphs import (
     DisconnectedGraphError,
@@ -88,17 +86,6 @@ def test_isometric_subset_detection() -> None:
     assert ok and pair is None
     # {0, 1} and {3, 4} are components; 3 is the lowest vertex 0 does not reach
     assert is_isometric(c6, [0, 1, 3, 4], dm=dm) == (False, (0, 3))
-
-
-def test_pick_common_vertex_caps_radii_at_eccentricity() -> None:
-    dm = apsp(path_graph(4))
-    # a radius past the eccentricity covers every vertex
-    assert pick_common_vertex(dm, [DiskConstraint(3, 99)]) == 0
-    assert pick_common_vertex(dm, [DiskConstraint(0, 99), DiskConstraint(3, 1)]) == 2
-    assert pick_common_vertex(dm, [DiskConstraint(1, 1), DiskConstraint(3, 99)]) == 0
-    # D(0, 1) = {0, 1} and D(3, 1) = {2, 3} share nothing
-    assert pick_common_vertex(dm, [DiskConstraint(0, 1), DiskConstraint(3, 1)]) is None
-    assert pick_common_vertex(dm, [DiskConstraint(2, -1)]) is None
 
 
 @settings(max_examples=60)

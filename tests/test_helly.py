@@ -12,7 +12,6 @@ from oracles import (
 )
 
 from hellymetric import (
-    DiskConstraint,
     Graph,
     MedianSearchError,
     apsp,
@@ -24,7 +23,6 @@ from hellymetric import (
     is_pseudo_modular,
     king_grid,
     path_graph,
-    pick_common_vertex,
 )
 from hellymetric.graphs import random_connected_graph
 from hellymetric.halfint import HalfInt
@@ -82,27 +80,6 @@ def test_bruteforce_matches_independent_oracle_on_samples() -> None:
     for seed in range(1, 25):
         g = random_connected_graph(6, 0.4, seed)
         assert helly_bruteforce(g) == brute_is_helly(g)
-
-
-# ---------------------------------------------------------------------------
-# pick_common_vertex
-# ---------------------------------------------------------------------------
-
-def test_pick_single_zero_radius_disk() -> None:
-    dm = apsp(path_graph(3))
-    assert pick_common_vertex(dm, [DiskConstraint(2, 0)]) == 2
-
-
-def test_pick_takes_lowest_id_on_ties() -> None:
-    dm = apsp(complete_graph(3))
-    cons = [DiskConstraint(v, 1) for v in range(3)]
-    assert pick_common_vertex(dm, cons) == 0
-
-
-def test_pick_reports_infeasible_c4_disks() -> None:
-    dm = apsp(cycle_graph(4))
-    cons = [DiskConstraint(v, 1) for v in range(4)]
-    assert pick_common_vertex(dm, cons) is None
 
 
 # ---------------------------------------------------------------------------

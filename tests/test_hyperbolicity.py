@@ -1,7 +1,7 @@
 """Four-point hyperbolicity, interval slices, and interval thinness."""
 from __future__ import annotations
 
-import importlib
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,14 +28,12 @@ from oracles import (
     brute_hyperbolicity,
     brute_thinness,
     clique_cactus,
+    dfs_is_block_graph,
     gromov_product,
     random_tree,
     star_graph,
     tie_scan_hyperbolicity,
 )
-
-# the package re-exports a function under the module's name
-scan_module = importlib.import_module("hellymetric.hyperbolicity")
 
 
 def glued_blocks_graph() -> Graph:
@@ -90,15 +88,6 @@ def test_is_block_graph_rejects_long_cycles() -> None:
     assert is_block_graph(path_graph(7))
 
 
-def dfs_is_block_graph(g: Graph) -> bool:
-    """The biconnected-component test alone: every component a clique."""
-    return all(
-        g.has_edge(u, v)
-        for comp in scan_module._biconnected_components(g)
-        for u, v in combinations(sorted(comp), 2)
-    )
-
-
 def test_is_block_graph_is_zero_hyperbolicity(atlas_graphs) -> None:
     graphs = atlas_graphs + [
         random_connected_graph(5 + seed % 8, 0.2 + 0.1 * (seed % 6), seed)
@@ -126,37 +115,63 @@ FOUR_SUN = Graph(
     name="4-sun",
 )
 
-# (graph, is a block graph, the triangle count alone rejects it)
+TRIANGLE_RING = Graph(
+    8,
+    [(0, 1), (1, 2), (2, 3), (3, 0)]
+    + [(a, 4 + a) for a in range(4)]
+    + [((a + 1) % 4, 4 + a) for a in range(4)],
+    name="triangle-ring",
+)
+
+# (graph, is a block graph)
 BLOCK_CASES = (
-    [(random_tree(n, n), True, False) for n in (3, 10, 60)]
-    + [(star_graph(k), True, False) for k in (2, 5, 40)]
-    + [(path_graph(9), True, False)]
-    # a chain of triangles has exactly as many triangles as its cycle rank
-    + [(k3_chain(t), True, False) for t in (1, 2, 7)]
-    + [(complete_graph(n), True, False) for n in (3, 4, 7)]
-    + [(clique_cactus(sizes, seed), True, False)
+    [(random_tree(n, n), True) for n in (3, 10, 60)]
+    + [(star_graph(k), True) for k in (2, 5, 40)]
+    + [(path_graph(9), True)]
+    + [(k3_chain(t), True) for t in (1, 2, 7)]
+    + [(complete_graph(n), True) for n in (3, 4, 7)]
+    + [(clique_cactus(sizes, seed), True)
        for seed, sizes in enumerate(([3, 4, 2, 5], [6, 3, 3, 2, 4, 3], [2, 2, 3]))]
-    + [(cycle_graph(n), False, True) for n in range(4, 10)]
-    # two triangles against a cycle rank of two: the DFS must reject it
-    + [(DIAMOND, False, False), (FOUR_SUN, False, False)]
-    + [(king_grid(p, q), False, False) for p, q in ((3, 3), (3, 5), (6, 6))]
+    + [(cycle_graph(n), False) for n in range(4, 10)]
+    + [(DIAMOND, False), (FOUR_SUN, False)]
+    + [(king_grid(p, q), False) for p, q in ((3, 3), (3, 5), (6, 6))]
+    # every K(uv) is a triangle, yet their sum is 8 > n - 1 = 7
+    + [(TRIANGLE_RING, False)]
+    # a dense and a sparse block graph whose rows are wide ints
+    + [(complete_graph(400), True), (star_graph(3000), True)]
 )
 
 
-@pytest.mark.parametrize(
-    "g, block, counted", BLOCK_CASES, ids=[g.name for g, _, _ in BLOCK_CASES]
-)
-def test_triangle_count_only_rejects_non_block_graphs(
-    g: Graph, block: bool, counted: bool, monkeypatch
-) -> None:
-    assert dfs_is_block_graph(g) == block
-    calls = []
-    dfs = scan_module._biconnected_components
-    monkeypatch.setattr(
-        scan_module, "_biconnected_components", lambda g: calls.append(g) or dfs(g)
-    )
-    assert is_block_graph(g) == block
-    assert len(calls) == (0 if counted else 1)
+# The id keeps its old name, from when a triangle count ran before the DFS,
+# so that the test ids stay stable.
+@pytest.mark.parametrize("g, block", BLOCK_CASES, ids=[g.name for g, _ in BLOCK_CASES])
+def test_triangle_count_only_rejects_non_block_graphs(g: Graph, block: bool) -> None:
+    assert is_block_graph(g) == dfs_is_block_graph(g) == block
+
+
+def edited_cacti() -> list[Graph]:
+    """Seeded clique cacti with one edge added or removed."""
+    graphs = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = clique_cactus([rng.randint(2, 5) for _ in range(rng.randint(2, 8))], seed)
+        edges = g.edge_set()
+        if seed % 2:
+            u, v = rng.sample(range(g.n), 2)
+            edges |= {(min(u, v), max(u, v))}
+        else:
+            edges -= {rng.choice(sorted(edges))}
+        graphs.append(Graph(g.n, sorted(edges), name=f"edited-{g.name}"))
+    return graphs
+
+
+def test_edge_clique_count_matches_the_dfs_on_edited_cacti() -> None:
+    graphs = [g for g in edited_cacti() if g.is_connected()]
+    assert len(graphs) > 250
+    verdicts = [is_block_graph(g) for g in graphs]
+    assert verdicts == [dfs_is_block_graph(g) for g in graphs]
+    # both answers occur, so the comparison is not one-sided
+    assert 0 < sum(verdicts) < len(graphs)
 
 
 def test_king_grid_golden() -> None:

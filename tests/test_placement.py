@@ -160,3 +160,33 @@ def test_certifying_the_firing_copy_on_king_30_stays_small() -> None:
         tracemalloc.stop()
     assert copy == w
     assert peak < 2 << 20
+
+
+def test_recheck_names_the_first_pair_off_the_cell_metric(monkeypatch) -> None:
+    # H1(2,2) placed on its own corners is the identity; raising the metric
+    # of two non-corner cells, (1, 1) and (3, 3), leaves the corner radii and
+    # the placement order as they are, so only the recheck can fail
+    fg = build_obstruction("H1", 2, 2)
+    cells = family_cells("H1", 2, 2)
+    g, dm = fg.graph, apsp(fg.graph)
+    assert detect._anchored_placement(g, dm, "H1", 2, 2, fg.corners) == {
+        c: v for v, c in enumerate(cells)
+    }
+    i, j = cells.index((1, 1)), cells.index((3, 3))
+    assert not {i, j} & set(fg.corners)
+    true_metric = detect.cell_metric
+
+    def raised(cs):
+        metric = true_metric(cs)
+        metric[i, j] += 1
+        metric[j, i] += 1
+        return metric
+
+    monkeypatch.setattr(detect, "cell_metric", raised)
+    with pytest.raises(MaterializeError) as info:
+        detect._anchored_placement(g, dm, "H1", 2, 2, fg.corners)
+    assert str(info.value) == (
+        "materialized H1(2,2) copy is not isometric: cells (1, 1) -> 3 and "
+        "(3, 3) -> 9 are at distance 2, expected 3"
+    )
+    assert info.value.constraints == ()
