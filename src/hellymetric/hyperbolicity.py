@@ -185,6 +185,7 @@ def hyperbolicity(
     sorted maximizing quadruple whose largest-sum pairing is two far-apart
     pairs (see the module docstring); with delta 0 it is (0, 0, 0, 0).
     """
+    # apsp refuses a disconnected graph, and is_block_graph needs a connected one
     dm = dm or apsp(g)
     zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
     if is_block_graph(g):
