@@ -43,7 +43,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distances import DistanceMatrix, apsp, bit_rows
+from .distances import DistanceMatrix, apsp
 from .families import (
     Cell,
     cell_metric,
@@ -51,7 +51,7 @@ from .families import (
     family_cells,
     family_corner_cells,
 )
-from .graphs import Graph
+from .graphs import Graph, bit_rows
 from .halfint import HalfInt
 from .helly import DiskConstraint, HellyCheck, find_median, is_helly
 from .hyperbolicity import (

@@ -25,7 +25,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .graphs import DisconnectedGraphError, Graph, GraphError, induced_subgraph
+from .graphs import (
+    DisconnectedGraphError,
+    Graph,
+    GraphError,
+    bit_rows,
+    induced_subgraph,
+)
 
 # cost model of _all_sources_pays, in nanoseconds, fitted to both kernels'
 # timings on 118 graphs (n 4..800) on an x86-64 VM
@@ -83,20 +89,6 @@ class DistanceMatrix:
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, diam={self.diam}, rad={self.rad})"
-
-
-def bit_rows(mask: np.ndarray) -> list[int]:
-    """Row i of a 2-D boolean ``mask`` as a Python int with bit j = mask[i, j].
-
-    One ``np.packbits`` call packs the whole mask and each row is cut from
-    one bytes buffer, which is faster than converting row views one by one.
-    """
-    packed = np.packbits(mask, axis=1, bitorder="little")
-    buf, width = packed.tobytes(), packed.shape[1]
-    return [
-        int.from_bytes(buf[i:i + width], "little")
-        for i in range(0, width * packed.shape[0], width)
-    ]
 
 
 def apsp(g: Graph) -> DistanceMatrix:
@@ -212,9 +204,12 @@ def graph_power(g: Graph, k: int, *, dm: DistanceMatrix | None = None) -> Graph:
         raise GraphError("power exponent must be >= 1")
     dm = dm or apsp(g)
     close = (dm.dist > 0) & (dm.dist <= k)
-    us, vs = np.nonzero(np.triu(close))
-    edges = list(zip(us.tolist(), vs.tolist()))
-    return Graph(g.n, edges, name=f"{g.name or 'G'}^{k}", vertex_labels=g.vertex_labels)
+    return Graph(
+        g.n,
+        np.argwhere(np.triu(close)),
+        name=f"{g.name or 'G'}^{k}",
+        vertex_labels=g.vertex_labels,
+    )
 
 
 def is_isometric(

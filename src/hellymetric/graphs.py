@@ -1,21 +1,30 @@
 """Immutable simple graphs, edge-list I/O, and product/grid generators.
 
-Vertices are dense 0-based integers.  Adjacency is kept both as sorted
-neighbor tuples (for iteration) and as per-vertex bitmasks (for the set
-algebra the scans rely on); a CSR copy of it (the neighbor tuples laid end
-to end, plus each vertex's offset) is built on first use and backs
+Vertices are dense 0-based integers.  A graph is built from an (m, 2) array
+of vertex ids (a list of pairs is converted to one): the ids are checked in
+numpy, then each block of adjacency rows is set in a boolean mask, which
+drops duplicate and reversed pairs.  Each block gives, in one pass, the three
+forms the adjacency is kept in: sorted neighbor tuples (for iteration),
+per-vertex bitmasks (for the set algebra the scans rely on), and a CSR copy
+(the neighbor ids laid end to end, plus each vertex's offset) that backs
 ``Graph.reduce_neighbors``, the vectorized per-vertex fold over neighbors.
 """
 from __future__ import annotations
 
 import itertools
 import random
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# cap on the rows gathered at once by Graph.reduce_neighbors, in bytes
+# cap on the rows gathered at once by Graph.reduce_neighbors, in bytes, and on
+# the adjacency mask of one block of rows in Graph.__init__, in cells
 _GATHER_BYTES = 1 << 22
+
+# an edge-list document of "<digits><blank><digits>" lines only, each ended by
+# a newline; 18 digits keep every id below 2**63
+_PLAIN_EDGES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}\n)+")
 
 # random_connected_graph makes at most this many random draws over all its
 # redraws, or one redraw if that alone needs more, so that a prob at which a
@@ -31,6 +40,49 @@ class DisconnectedGraphError(GraphError):
     """A connected graph was required but the input is not connected."""
 
 
+def bit_rows(mask: np.ndarray) -> list[int]:
+    """Row i of a 2-D boolean ``mask`` as a Python int with bit j = mask[i, j].
+
+    One ``np.packbits`` call packs the whole mask and one ``tolist`` call
+    cuts it into per-row bytes objects, which is faster than converting row
+    views one by one.
+    """
+    packed = np.packbits(mask, axis=1, bitorder="little")
+    # a row as one bytes object; the trailing zero bytes a bytes dtype drops
+    # are high zero bits of the little-endian int
+    rows = packed.view(f"S{packed.shape[1]}").ravel().tolist()
+    return list(map(int.from_bytes, rows, itertools.repeat("little")))
+
+
+def _edge_array(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
+    """``edges`` as an (m, 2) intp array of ids in 0..n-1 without self-loops.
+
+    Integer pairs are checked by a few whole-array calls.  Anything else,
+    valid or not, is walked pair by pair in input order, so the first bad
+    pair names the error.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # pairs of uneven shapes
+        arr = np.empty(0)
+    if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu" and (
+        not arr.size
+        or arr.min() >= 0 and arr.max() < n and not (arr[:, 0] == arr[:, 1]).any()
+    ):
+        return arr.astype(np.intp, copy=False)
+    pairs = edges.tolist() if isinstance(edges, np.ndarray) else edges
+    for u, v in pairs:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise GraphError(f"vertex ids must be ints, got ({u!r}, {v!r})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+    return np.array(pairs, np.intp).reshape(-1, 2)
+
+
 class Graph:
     """Simple undirected graph on vertices 0..n-1.  Treat as immutable."""
 
@@ -39,43 +91,48 @@ class Graph:
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: np.ndarray | Iterable[tuple[int, int]],
         *,
         name: str = "",
         vertex_labels: Sequence[str] | None = None,
     ) -> None:
+        """Graph on 0..n-1 with the edges of an (m, 2) integer array or an
+        iterable of (u, v) pairs.  Duplicate and reversed pairs collapse; a
+        non-int id, a self-loop or an id out of range raises GraphError
+        naming the first such pair.  The adjacency mask is set a block of
+        rows at a time, each under _GATHER_BYTES cells, so no n x n
+        temporary is made.
+        """
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (isinstance(u, int) and isinstance(v, int)):
-                raise GraphError(f"vertex ids must be ints, got ({u!r}, {v!r})")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={n}")
-            seen.add((u, v) if u < v else (v, u))
-        nbrs: list[set[int]] = [set() for _ in range(n)]
-        for u, v in seen:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        u, v = _edge_array(n, edges).T
+        step = max(1, _GATHER_BYTES // n)
+        bits: list[int] = []
+        cells: list[np.ndarray] = []  # adjacent pairs (x, y) as cell x * n + y
+        for r0 in range(0, n, step):
+            block = np.zeros((min(step, n - r0), n), bool)
+            for a, b in ((u, v), (v, u)):
+                if step < n:  # the adjacencies of rows r0..r0+step-1
+                    inside = (a >= r0) & (a < r0 + step)
+                    a, b = a[inside] - r0, b[inside]
+                block[a, b] = True
+            cells.append(np.flatnonzero(block) + r0 * n)
+            bits += bit_rows(block)
+        flat_cells = np.concatenate(cells)
+        nbrs = flat_cells % n
+        offsets = np.searchsorted(flat_cells, np.arange(0, n * n + 1, n))
+        flat, bounds = nbrs.tolist(), offsets.tolist()
         self.n = n
-        self.m = len(seen)
+        self.m = len(flat) // 2
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in nbrs
+            tuple(flat[a:b]) for a, b in itertools.pairwise(bounds)
         )
-        bits = []
-        for s in nbrs:
-            mask = 0
-            for v in s:
-                mask |= 1 << v
-            bits.append(mask)
         self.adj_bits: tuple[int, ...] = tuple(bits)
         self.name = name
         if vertex_labels is not None and len(vertex_labels) != n:
             raise GraphError("vertex_labels length must equal n")
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr = (nbrs, offsets)
 
     # -- basic queries --------------------------------------------------
     def edges(self) -> list[tuple[int, int]]:
@@ -113,18 +170,12 @@ class Graph:
 
         Every vertex needs a neighbour (a connected graph on n >= 2
         vertices).  The rows table[u] of all adjacencies (u in N(v)) are
-        gathered in chunks of at most _GATHER_BYTES, or one row when a row
-        is larger; a vertex whose neighbours span several chunks folds
-        their partial results.
+        gathered over the CSR copy made at construction, in chunks of at
+        most _GATHER_BYTES, or one row when a row is larger; a vertex whose
+        neighbours span several chunks folds their partial results.
         """
-        if self._csr is None:
-            nbrs = np.fromiter(
-                itertools.chain.from_iterable(self.neighbors), np.intp, 2 * self.m
-            )
-            starts = np.zeros(self.n, np.intp)
-            np.cumsum([len(a) for a in self.neighbors[:-1]], out=starts[1:])
-            self._csr = (nbrs, starts)
-        nbrs, starts = self._csr
+        nbrs, offsets = self._csr
+        starts = offsets[:-1]
         step = max(1, _GATHER_BYTES // max(1, table[0].nbytes))
         if len(nbrs) <= step:
             return ufunc.reduceat(table[nbrs], starts, axis=0)
@@ -170,7 +221,40 @@ def load_graph(text: str, *, name: str = "") -> Graph:
     Vertices are 0..max-id.  Duplicate edges collapse; self-loops, non-integer
     tokens, empty edge sets and disconnected graphs are errors.  The graph is
     called ``name``.
+
+    A document of ``<digits><blank><digits>`` lines only (blanks are spaces or
+    tabs, ids have at most 18 digits, every line ends in a newline) is
+    recognised by one regular expression and converted by one
+    ``np.fromstring`` call; row i is line i + 1, so the only error such a
+    document can hold, a self-loop, keeps its line number.  Every other
+    document (comments, blank lines, CRLF, no final newline, ``+3``, ``1_0``,
+    non-ASCII digits, or any error) goes through the per-line loop, the only
+    path that accepts those inputs and words those errors.
     """
+    if _PLAIN_EDGES.fullmatch(text):
+        edges = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
+        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        if loops.size:
+            row = int(loops[0])
+            raise GraphError(f"line {row + 1}: self-loop at vertex {edges[row, 0]}")
+        max_id = int(edges.max())
+    else:
+        edges, max_id = _read_lines(text)
+    if not len(edges):
+        raise GraphError("empty edge set")
+    # a connected graph on ids 0..max_id has at least max_id distinct edges;
+    # refusing fewer here keeps a huge stray id from allocating its vertices
+    if max_id > len(edges):
+        raise DisconnectedGraphError("input graph is not connected")
+    g = Graph(max_id + 1, edges, name=name)
+    if not g.is_connected():
+        raise DisconnectedGraphError("input graph is not connected")
+    return g
+
+
+def _read_lines(text: str) -> tuple[list[tuple[int, int]], int]:
+    """The edges of an edge-list document, read line by line, and the
+    largest id (-1 for none); errors name their line."""
     edges: list[tuple[int, int]] = []
     max_id = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -190,16 +274,7 @@ def load_graph(text: str, *, name: str = "") -> Graph:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
         edges.append((u, v))
         max_id = max(max_id, u, v)
-    if not edges:
-        raise GraphError("empty edge set")
-    # a connected graph on ids 0..max_id has at least max_id distinct edges;
-    # refusing fewer here keeps a huge stray id from allocating its vertices
-    if max_id > len(edges):
-        raise DisconnectedGraphError("input graph is not connected")
-    g = Graph(max_id + 1, edges, name=name)
-    if not g.is_connected():
-        raise DisconnectedGraphError("input graph is not connected")
-    return g
+    return edges, max_id
 
 
 def to_edge_list(g: Graph, *, header: Sequence[str] = ()) -> str:
@@ -312,12 +387,15 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, dict[int
         if not (0 <= v < g.n):
             raise GraphError(f"vertex {v} out of range")
     index = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v])
-        for u in vs
-        for v in g.neighbors[u]
-        if u < v and v in index
-    ]
+    new_id = np.full(g.n, -1, np.intp)
+    new_id[vs] = np.arange(len(vs))
+    nbrs, offsets = g._csr
+    # each adjacency slot as (owner, neighbour) in new ids, kept when both
+    # ends are chosen; new ids keep the old order, so u < v stays u < v
+    src = np.repeat(new_id, np.diff(offsets))
+    dst = new_id[nbrs]
+    keep = (src >= 0) & (dst > src)
+    edges = np.stack((src[keep], dst[keep]), axis=1)
     labels = None
     if g.vertex_labels is not None:
         labels = [g.vertex_labels[v] for v in vs]

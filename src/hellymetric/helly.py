@@ -65,8 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import DistanceMatrix, apsp, bit_rows
-from .graphs import Graph
+from .distances import DistanceMatrix, apsp
+from .graphs import Graph, bit_rows
 from .halfint import HalfInt
 
 

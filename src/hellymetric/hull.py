@@ -175,16 +175,15 @@ def hull(
     # several rows against all columns, or one row against a tile of columns
     step = max(1, _CELLS // (m * n))
     width = max(1, _CELLS // n)
-    edges: list[tuple[int, int]] = []
+    pairs = [np.empty((0, 2), np.intp)]
     for i0 in range(0, m, step):
         for j0 in range(i0 + 1, m, width):
             diff = arr[i0 : i0 + step, None] - arr[None, j0 : j0 + width]
             np.abs(diff, out=diff)
             # row r is point i0 + r and column c is point j0 + c: keep i < j
             near = np.triu(diff.max(axis=2) <= 1, i0 - j0 + 1)
-            rows, cols = np.nonzero(near)
-            edges += zip((rows + i0).tolist(), (cols + j0).tolist())
-    hg = Graph(m, edges, name=f"hull({g.name or 'G'})")
+            pairs.append(np.argwhere(near) + (i0, j0))
+    hg = Graph(m, np.concatenate(pairs), name=f"hull({g.name or 'G'})")
     embedding = []
     for v in range(g.n):
         f = tuple(int(x) for x in dm.dist[v])

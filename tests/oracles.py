@@ -2,7 +2,10 @@
 
 The oracles recompute results from the raw adjacency structure with naive
 algorithms (dict BFS, exhaustive enumeration) and share no code with the
-package internals.  The exceptions at the end of the file run on the
+package internals.  ``set_graph_adjacency`` builds a graph's adjacency one
+edge at a time into Python sets, and ``line_loop_load_graph`` reads an edge
+list one line at a time on top of it; both raise the package's exceptions
+with its exact messages.  The exceptions at the end of the file run on the
 package's distance matrix, whose disk masks the oracles pack themselves
 (``packed_balls``): ``helly_bruteforce`` and
 ``pseudo_modular_bruteforce`` enumerate its distinct disks
@@ -47,9 +50,11 @@ import numpy as np
 from networkx.generators.atlas import graph_atlas_g
 
 from hellymetric import (
+    DisconnectedGraphError,
     DiskConstraint,
     DistanceMatrix,
     Graph,
+    GraphError,
     HalfInt,
     MaterializeError,
     PseudoModularCheck,
@@ -70,6 +75,75 @@ from hellymetric.hyperbolicity import (
 
 class EnumerationBudgetError(Exception):
     """An exhaustive check was asked to run past its instance-size cap."""
+
+
+Adjacency = tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def set_graph_adjacency(n: int, edges) -> Adjacency:
+    """(m, neighbors, adj_bits) of the graph on 0..n-1 with ``edges``, built
+    one pair at a time into Python sets; the first bad pair, in input order,
+    raises GraphError with ``Graph``'s message."""
+    if n < 1:
+        raise GraphError("graph needs at least one vertex")
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise GraphError(f"vertex ids must be ints, got ({u!r}, {v!r})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        seen.add((u, v) if u < v else (v, u))
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in seen:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    bits = []
+    for s in nbrs:
+        mask = 0
+        for v in s:
+            mask |= 1 << v
+        bits.append(mask)
+    return len(seen), tuple(tuple(sorted(s)) for s in nbrs), tuple(bits)
+
+
+def line_loop_load_graph(text: str) -> tuple[int, Adjacency]:
+    """(n, adjacency) of an edge-list document read one line at a time, or
+    the error ``load_graph`` raises for it, with the same message."""
+    edges: list[tuple[int, int]] = []
+    max_id = -1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"line {lineno}: expected 'u v', got {raw!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: non-integer token in {raw!r}") from None
+        if u < 0 or v < 0:
+            raise GraphError(f"line {lineno}: negative vertex id in {raw!r}")
+        if u == v:
+            raise GraphError(f"line {lineno}: self-loop at vertex {u}")
+        edges.append((u, v))
+        max_id = max(max_id, u, v)
+    if not edges:
+        raise GraphError("empty edge set")
+    if max_id > len(edges):
+        raise DisconnectedGraphError("input graph is not connected")
+    adjacency = set_graph_adjacency(max_id + 1, edges)
+    seen, todo = {0}, [0]
+    while todo:
+        for v in adjacency[1][todo.pop()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    if len(seen) <= max_id:
+        raise DisconnectedGraphError("input graph is not connected")
+    return max_id + 1, adjacency
 
 
 def bfs_distances(g: Graph, source: int) -> dict[int, int]:
