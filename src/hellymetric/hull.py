@@ -175,7 +175,7 @@ def hull(
     # several rows against all columns, or one row against a tile of columns
     step = max(1, _CELLS // (m * n))
     width = max(1, _CELLS // n)
-    pairs = [np.empty((0, 2), np.intp)]
+    pairs = [np.empty((0, 2), np.intp)]  # a one-point hull finds no pairs
     for i0 in range(0, m, step):
         for j0 in range(i0 + 1, m, width):
             diff = arr[i0 : i0 + step, None] - arr[None, j0 : j0 + width]

@@ -192,6 +192,8 @@ def test_edge_documents_reach_both_parses() -> None:
     assert graphs._PLAIN_EDGES.fullmatch("0\t" + "9" * 18 + "\n")
 
 
+# mostly ints, some out of range for the drawn n; now and then a non-int, a
+# bool (which the set constructor takes as an int) or an id past int64
 _IDS = st.one_of(
     st.integers(-2, 9),
     st.integers(-2, 9),
