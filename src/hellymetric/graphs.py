@@ -22,9 +22,16 @@ import numpy as np
 # the adjacency mask of one block of rows in Graph.__init__, in cells
 _GATHER_BYTES = 1 << 22
 
-# an edge-list document of "<digits><blank><digits>" lines only, each ended by
-# a newline; 18 digits keep every id below 2**63
-_PLAIN_EDGES = re.compile(r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}\n)+")
+# an edge-list document whose lines are all blank, '#' comments or
+# "<digits><blank><digits>" pairs, blanks being spaces and tabs; 18 digits keep
+# every id below 2**63, and a comment holds none of the line breaks other than
+# "\n" that str.splitlines knows, so each "\n" ends one of its lines
+_LINE = (
+    r"[ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*"
+    r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?"
+)
+_SIMPLE_EDGES = re.compile(rf"(?:{_LINE}\n)*{_LINE}")
+_COMMENT = re.compile(r"#[^\n]*")
 
 # random_connected_graph makes at most this many random draws over all its
 # redraws, or one redraw if that alone needs more, so that a prob at which a
@@ -57,22 +64,19 @@ def bit_rows(mask: np.ndarray) -> list[int]:
 def _edge_array(n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> np.ndarray:
     """``edges`` as an (m, 2) intp array of ids in 0..n-1 without self-loops.
 
-    Integer pairs are checked by a few whole-array calls.  Anything else,
-    valid or not, is walked pair by pair in input order, so the first bad
-    pair names the error.
+    An (m, 2) integer array is checked by a few whole-array calls.  Any
+    other input, and an array that fails those checks, is walked pair by pair
+    in input order, so the first bad pair names the error.
     """
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    try:
-        arr = np.asarray(edges)
-    except ValueError:  # pairs of uneven shapes
-        arr = np.empty(0)
-    if arr.ndim == 2 and arr.shape[1] == 2 and arr.dtype.kind in "iu" and (
-        not arr.size
-        or arr.min() >= 0 and arr.max() < n and not (arr[:, 0] == arr[:, 1]).any()
-    ):
-        return arr.astype(np.intp, copy=False)
-    pairs = edges.tolist() if isinstance(edges, np.ndarray) else edges
+    if isinstance(edges, np.ndarray):
+        if edges.ndim == 2 and edges.shape[1] == 2 and edges.dtype.kind in "iu" and (
+            not edges.size
+            or edges.min() >= 0 and edges.max() < n
+            and not (edges[:, 0] == edges[:, 1]).any()
+        ):
+            return edges.astype(np.intp, copy=False)
+        edges = edges.tolist()
+    pairs = list(edges)
     for u, v in pairs:
         if not (isinstance(u, int) and isinstance(v, int)):
             raise GraphError(f"vertex ids must be ints, got ({u!r}, {v!r})")
@@ -95,17 +99,20 @@ class Graph:
         *,
         name: str = "",
         vertex_labels: Sequence[str] | None = None,
+        _checked: bool = False,
     ) -> None:
         """Graph on 0..n-1 with the edges of an (m, 2) integer array or an
         iterable of (u, v) pairs.  Duplicate and reversed pairs collapse; a
         non-int id, a self-loop or an id out of range raises GraphError
-        naming the first such pair.  The adjacency mask is set a block of
+        naming the first such pair.  ``_checked`` says that ``edges`` is an
+        (m, 2) intp array already known to be valid, as ``load_graph`` makes,
+        so it is not checked again.  The adjacency mask is set a block of
         rows at a time, each under _GATHER_BYTES cells, so no n x n
         temporary is made.
         """
         if n < 1:
             raise GraphError("graph needs at least one vertex")
-        u, v = _edge_array(n, edges).T
+        u, v = (edges if _checked else _edge_array(n, edges)).T
         step = max(1, _GATHER_BYTES // n)
         bits: list[int] = []
         cells: list[np.ndarray] = []  # adjacent pairs (x, y) as cell x * n + y
@@ -118,7 +125,7 @@ class Graph:
                 block[a, b] = True
             cells.append(np.flatnonzero(block) + r0 * n)
             bits += bit_rows(block)
-        flat_cells = np.concatenate(cells)
+        flat_cells = np.concatenate(cells) if len(cells) > 1 else cells[0]
         nbrs = flat_cells % n
         offsets = np.searchsorted(flat_cells, np.arange(0, n * n + 1, n))
         flat, bounds = nbrs.tolist(), offsets.tolist()
@@ -222,34 +229,44 @@ def load_graph(text: str, *, name: str = "") -> Graph:
     tokens, empty edge sets and disconnected graphs are errors.  The graph is
     called ``name``.
 
-    A document of ``<digits><blank><digits>`` lines only (blanks are spaces or
-    tabs, ids have at most 18 digits, every line ends in a newline) is
-    recognised by one regular expression and converted by one
-    ``np.fromstring`` call; row i is line i + 1, so the only error such a
-    document can hold, a self-loop, keeps its line number.  Every other
-    document (comments, blank lines, CRLF, no final newline, ``+3``, ``1_0``,
-    non-ASCII digits, or any error) goes through the per-line loop, the only
-    path that accepts those inputs and words those errors.
+    A document whose lines are all blank, ``#`` comments or
+    ``<digits><blank><digits>`` pairs (blanks are spaces or tabs, ids have at
+    most 18 digits) is recognised by one regular expression; its comments
+    are cut out and its ids converted by one ``np.fromstring`` call.  This
+    covers every file ``to_edge_list`` writes.  Every other document (CRLF,
+    ``+3``, ``1_0``, non-ASCII digits, any malformed line) and any document
+    with a self-loop go through the per-line loop, the only path that accepts
+    those inputs and words those errors with their line numbers.
     """
-    if _PLAIN_EDGES.fullmatch(text):
-        edges = np.fromstring(text, np.int64, sep=" ").reshape(-1, 2)
-        loops = np.flatnonzero(edges[:, 0] == edges[:, 1])
-        if loops.size:
-            row = int(loops[0])
-            raise GraphError(f"line {row + 1}: self-loop at vertex {edges[row, 0]}")
-        max_id = int(edges.max())
-    else:
+    ids = _simple_ids(text)
+    if ids is None:
         edges, max_id = _read_lines(text)
+    else:
+        edges, max_id = ids, int(ids.max(initial=-1))
     if not len(edges):
         raise GraphError("empty edge set")
     # a connected graph on ids 0..max_id has at least max_id distinct edges;
     # refusing fewer here keeps a huge stray id from allocating its vertices
     if max_id > len(edges):
         raise DisconnectedGraphError("input graph is not connected")
-    g = Graph(max_id + 1, edges, name=name)
+    # both parses refuse negative ids and self-loops, and every id is now at
+    # most len(edges), so the edges fit an intp array
+    g = Graph(max_id + 1, np.asarray(edges, np.intp), name=name, _checked=True)
     if not g.is_connected():
         raise DisconnectedGraphError("input graph is not connected")
     return g
+
+
+def _simple_ids(text: str) -> np.ndarray | None:
+    """The (m, 2) ids of a document of blank, comment and digit-pair lines
+    without self-loops; None for any other document."""
+    if not _SIMPLE_EDGES.fullmatch(text):
+        return None
+    body = _COMMENT.sub("", text)
+    if body.isspace():  # np.fromstring reads blanks alone as one 0
+        body = ""
+    ids = np.fromstring(body, np.int64, sep=" ").reshape(-1, 2)
+    return None if (ids[:, 0] == ids[:, 1]).any() else ids
 
 
 def _read_lines(text: str) -> tuple[list[tuple[int, int]], int]:

@@ -36,8 +36,10 @@ from hellymetric import graphs
         ("0 1\n1 1\n", GraphError, "line 2: self-loop at vertex 1"),
         ("0 1\n1 2\n2 3\n3 3\n", GraphError, "line 4: self-loop at vertex 3"),
         ("0 1\n  2\t2  \n", GraphError, "line 2: self-loop at vertex 2"),
+        ("# h\n0 1\n\n# 2 2\n1 1\n", GraphError, "line 5: self-loop at vertex 1"),
         ("# only comments\n\n", GraphError, "empty edge set"),
         ("", GraphError, "empty edge set"),
+        ("\n \t\n", GraphError, "empty edge set"),
         ("0 1\n0 100000\n", DisconnectedGraphError, "input graph is not connected"),
         ("0 1\n2 3\n1 0\n", DisconnectedGraphError, "input graph is not connected"),
         ("0 1\n2 3\n4 5\n", DisconnectedGraphError, "input graph is not connected"),
@@ -138,10 +140,18 @@ def id_token(draw, vertex: int) -> str:
     return plain
 
 
+# comment texts, some holding line breaks other than "\n" that str.splitlines
+# counts, which end the comment there
+_COMMENTS = (
+    "#", "# comment", "#0 0", "# a\rb", "# a\x0bb", "# a\x1db", "# a\x85b", "# a\u2028b"
+)
+
+
 @st.composite
 def edge_documents(draw) -> str:
-    """Edge lists of small graphs: mostly plain documents, which take the
-    numpy parse, and documents with every variation the line loop reads."""
+    """Edge lists of small graphs: plain documents and documents with '#'
+    comments and blank lines, which take the numpy parse, and documents with
+    every variation the line loop reads."""
     n = draw(st.integers(2, 9))
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=24
@@ -153,11 +163,19 @@ def edge_documents(draw) -> str:
         pairs = draw(st.permutations(pairs))
     if draw(st.integers(0, 9)) == 0:  # a stray id of 20 digits
         pairs.append((0, 10**19 + n))
-    plain = draw(st.booleans())
+    style = draw(st.sampled_from(["plain", "simple", "varied"]))
     lines = []
     for u, v in pairs:
-        if plain:
+        if style == "plain":
             lines.append(f"{u} {v}")
+            continue
+        if style == "simple":
+            blank = draw(st.sampled_from([" ", "\t", " \t"]))
+            lead, tail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " "]))
+            lines.append(f"{lead}{u}{blank}{v}{tail}")
+            extra = draw(st.sampled_from(["", "", "", "   ", *_COMMENTS, "\t" + _COMMENTS[1]]))
+            if extra:
+                lines.insert(draw(st.integers(0, len(lines))), extra)
             continue
         blank = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
         line = draw(id_token(u)) + blank + draw(id_token(v))
@@ -167,8 +185,10 @@ def edge_documents(draw) -> str:
                                       "x y", "1 2 3", "-1 2", "7"]))
         if extra:
             lines.insert(draw(st.integers(0, len(lines))), extra)
-    if plain:
+    if style == "plain":
         return "".join(line + "\n" for line in lines)
+    if style == "simple":
+        return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
@@ -184,12 +204,19 @@ def test_load_graph_matches_the_line_loop(text: str) -> None:
 
 
 def test_edge_documents_reach_both_parses() -> None:
-    plain = "0 1\n1 2\n"
-    assert graphs._PLAIN_EDGES.fullmatch(plain)
-    for other in ("0 1\n1 2", "0 1\r\n", "# c\n0 1\n", "0 +1\n", "0 1_0\n",
-                  "0 ١\n", "0 " + "1".zfill(19) + "\n", " 0 1\n", "0 1 \n", "0\n"):
-        assert not graphs._PLAIN_EDGES.fullmatch(other), other
-    assert graphs._PLAIN_EDGES.fullmatch("0\t" + "9" * 18 + "\n")
+    for simple in ("0 1\n1 2\n", "0 1\n1 2", "# c\n0 1\n", " 0 1\n", "0 1 \n",
+                   "\n0\t1\n\n", "  # c\n0 1\n", "0\t" + "9" * 18 + "\n"):
+        assert graphs._SIMPLE_EDGES.fullmatch(simple), simple
+    for other in ("0 1\r\n", "0 +1\n", "0 1_0\n", "0 ١\n", "0 " + "1".zfill(19) + "\n",
+                  "0\n", "0 1 # c\n", "# a\rb\n0 1\n", "# a\u2028b\n", "0\xa01\n"):
+        assert not graphs._SIMPLE_EDGES.fullmatch(other), other
+    # self-loops are left to the loop, which names their line
+    assert graphs._simple_ids("0 1\n1 1\n") is None
+    # every document the package writes takes the numpy parse
+    g = king_grid(3, 4)
+    for header in ((), ("king grid 3x4", "n=12"), ("",)):
+        ids = graphs._simple_ids(to_edge_list(g, header=header))
+        assert ids is not None and ids.tolist() == [list(e) for e in g.edges()]
 
 
 # mostly ints, some out of range for the drawn n; now and then a non-int, a
@@ -212,6 +239,12 @@ def test_graph_matches_the_set_constructor(n: int, edges: list) -> None:
         for dtype in (np.int64, np.int32):
             arr = np.array(edges, dtype).reshape(-1, 2)
             assert outcome(lambda: adjacency(Graph(n, arr))) == expected
+            # pairs of numpy ints are not int pairs, in a list: the first
+            # pair names the error, whether or not a later one is bad
+            scalars = [(dtype(u), dtype(v)) for u, v in edges]
+            assert outcome(lambda: adjacency(Graph(n, scalars))) == outcome(
+                lambda: set_graph_adjacency(n, scalars)
+            )
 
 
 @pytest.mark.parametrize("cap", [1, 40, 1000, 1 << 22])
