@@ -22,14 +22,11 @@ import numpy as np
 # the adjacency mask of one block of rows in Graph.__init__, in cells
 _GATHER_BYTES = 1 << 22
 
-# an edge-list document whose lines are all blank, '#' comments or
+# an edge-list document whose lines are all empty, '#' comments or
 # "<digits><blank><digits>" pairs, blanks being spaces and tabs; 18 digits keep
 # every id below 2**63, and a comment holds none of the line breaks other than
 # "\n" that str.splitlines knows, so each "\n" ends one of its lines
-_LINE = (
-    r"[ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*"
-    r"|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?"
-)
+_LINE = r"(?:[0-9]{1,18}[ \t]+[0-9]{1,18}|#[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)?"
 _SIMPLE_EDGES = re.compile(rf"(?:{_LINE}\n)*{_LINE}")
 _COMMENT = re.compile(r"#[^\n]*")
 
@@ -229,14 +226,15 @@ def load_graph(text: str, *, name: str = "") -> Graph:
     tokens, empty edge sets and disconnected graphs are errors.  The graph is
     called ``name``.
 
-    A document whose lines are all blank, ``#`` comments or
+    A document whose lines are all empty, ``#`` comments or
     ``<digits><blank><digits>`` pairs (blanks are spaces or tabs, ids have at
-    most 18 digits) is recognised by one regular expression; its comments
-    are cut out and its ids converted by one ``np.fromstring`` call.  This
-    covers every file ``to_edge_list`` writes.  Every other document (CRLF,
-    ``+3``, ``1_0``, non-ASCII digits, any malformed line) and any document
-    with a self-loop go through the per-line loop, the only path that accepts
-    those inputs and words those errors with their line numbers.
+    most 18 digits, nothing before or after) is recognised by one regular
+    expression; its comments are cut out and its ids converted by one
+    ``np.fromstring`` call.  This covers every file ``to_edge_list`` writes.
+    Every other document (indented lines, CRLF, ``+3``, ``1_0``, non-ASCII
+    digits, any malformed line) and any document with a self-loop go through
+    the per-line loop, the only path that accepts those inputs and words
+    those errors with their line numbers.
     """
     ids = _simple_ids(text)
     if ids is None:
