@@ -1,13 +1,14 @@
 """Immutable simple graphs, edge-list I/O, and product/grid generators.
 
 Vertices are dense 0-based integers.  A graph is built from an (m, 2) array
-of vertex ids (a list of pairs is converted to one): the ids are checked in
-numpy, then each block of adjacency rows is set in a boolean mask, which
-drops duplicate and reversed pairs.  Each block gives, in one pass, the three
-forms the adjacency is kept in: sorted neighbor tuples (for iteration),
-per-vertex bitmasks (for the set algebra the scans rely on), and a CSR copy
-(the neighbor ids laid end to end, plus each vertex's offset) that backs
-``Graph.reduce_neighbors``, the vectorized per-vertex fold over neighbors.
+of vertex ids, checked in numpy (a list of pairs is checked pair by pair and
+converted to one); then each block of adjacency rows is set in a boolean
+mask, which drops duplicate and reversed pairs.  Each block gives, in one
+pass, the three forms the adjacency is kept in: sorted neighbor tuples (for
+iteration), per-vertex bitmasks (for the set algebra the scans rely on), and
+a CSR copy (the neighbor ids laid end to end, plus each vertex's offset) that
+backs ``Graph.reduce_neighbors``, the vectorized per-vertex fold over
+neighbors.
 """
 from __future__ import annotations
 
