@@ -180,8 +180,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         header = [f"{g.name} n={g.n} m={g.m}"]
         for tag, cidx in zip("abcd", fg.corners):
             header.append(f"corner {tag}={cidx}")
-        for vid, cell in enumerate(fg.cells):
-            hx, hy = fg.host_cells()[vid]
+        for vid, (cell, (hx, hy)) in enumerate(zip(fg.cells, fg.host_cells())):
             header.append(f"cell {vid} = ({cell[0]},{cell[1]}) host=({hx},{hy})")
         _emit(to_edge_list(g, header=header), args.output)
         return 0

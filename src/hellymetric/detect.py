@@ -21,11 +21,11 @@ computes each shared quantity once, and reject non-Helly input.
 
 Witness corners are the quadruple the scan fired on; the materialized copy
 (always computed) lives in the witness alongside its cell layout.  One
-certification step, ``_certify``, turns corners into a copy for every
-caller: the detectors right after their scans, and ``materialize`` when it
-rebuilds a witness.  Only the second phase of ``detect_H1_or_H3``, whose
+certification step, ``_certify``, turns corners into a copy for the
+detectors and for ``materialize``; phase 2 of ``detect_H1_or_H3``, whose
 family is known only after resolution, calls ``resolve_window_quadruple``
-directly.
+directly.  Every case of both places one frame copy on four anchors and
+cuts the witness window from it (``_window_copy``).
 
 Every probe, the sun-tip test, the power route and both 4-cycle tests run
 one quadruple-pattern scanner, ``_scan_quadruples``.  It reads each distance
@@ -53,7 +53,7 @@ from .families import (
 )
 from .graphs import Graph, bit_rows
 from .halfint import HalfInt
-from .helly import DiskConstraint, HellyCheck, find_median, is_helly
+from .helly import DiskConstraint, HellyCheck, MedianResult, find_median, is_helly
 from .hyperbolicity import (
     HyperbolicityWitness,
     ThinnessWitness,
@@ -190,32 +190,29 @@ def _anchored_placement(
     return placement
 
 
-def _make_witness(
-    family: str,
-    k: int,
-    l: int,
-    placement: dict[Cell, int],
+def _window_copy(
+    g: Graph,
+    dm: DistanceMatrix,
+    frame: tuple[str, int, int],
+    anchors: tuple[int, int, int, int],
+    window: tuple[str, int, int],
     scanned: tuple[int, int, int, int],
     shift: tuple[int, int] = (0, 0),
 ) -> ObstructionWitness:
-    """Package (a shifted sub-window of) a placement as a witness.
+    """The ``window`` copy cut from a ``frame`` copy placed on ``anchors``.
 
-    With a nonzero shift the witness is the sub-family whose cell (s, t)
-    sits on the placed cell (s + shift_s, t + shift_t); restricting an
-    isometric copy to a cell subset stays isometric because the cell metric
-    is translation invariant.
+    Frame and window are (family, k, l) triples; the frame is placed by
+    ``_anchored_placement``, and the window's cell (s, t) sits on the placed
+    cell (s + shift_s, t + shift_t).  Restricting an isometric copy to a
+    cell subset stays isometric because the cell metric is translation
+    invariant.
     """
-    cells = family_cells(family, k, l)
+    placement = _anchored_placement(g, dm, *frame, anchors)
+    cells = family_cells(*window)
     ds, dt = shift
-    vertices = tuple(placement[(cc[0] + ds, cc[1] + dt)] for cc in cells)
+    vertices = tuple(placement[(s + ds, t + dt)] for s, t in cells)
     return ObstructionWitness(
-        family,
-        k,
-        l,
-        scanned,
-        tuple(sorted(set(vertices))),
-        cells,
-        vertices,
+        *window, scanned, tuple(sorted(set(vertices))), cells, vertices
     )
 
 
@@ -236,14 +233,12 @@ def _certify(
     (resolved by the constructive case analysis, which must certify the
     same family).  Anything else raises MaterializeError.
     """
-    if _realizes_corner_pattern(dm, family, k, l, quad):
-        placement = _anchored_placement(g, dm, family, k, l, quad)
-        return _make_witness(family, k, l, placement, quad)
-    if family == "H2" and k == l and _realizes_corner_pattern(
-        dm, "H1", k + 1, k + 1, quad
-    ):
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, quad)
-        return _make_witness(family, k, k, placement, quad, shift=(1, 1))
+    own = (family, k, l)
+    if _realizes_corner_pattern(dm, *own, quad):
+        return _window_copy(g, dm, own, quad, own, quad)
+    wide = ("H1", k + 1, k + 1)
+    if family == "H2" and k == l and _realizes_corner_pattern(dm, *wide, quad):
+        return _window_copy(g, dm, wide, quad, own, quad, shift=(1, 1))
     if family in ("H1", "H3") and k == l:
         probe = k - 1 if family == "H1" else k
         if probe >= 0 and _fits_window(dm, probe, quad):
@@ -297,6 +292,8 @@ def _band_rows(dm: DistanceMatrix, lo: int, hi: int) -> list[int]:
     near = dm.power_rows(hi)
     if lo <= 0:
         return [row | (1 << v) for v, row in enumerate(near)]
+    if lo == 1:  # the cached rows, only read; the empty power is never packed
+        return near
     return [a & ~b for a, b in zip(near, dm.power_rows(lo - 1))]
 
 
@@ -420,31 +417,25 @@ def resolve_window_quadruple(
     constructive steps may fail with MaterializeError or MedianSearchError.
     """
     dm = dm or apsp(g)
+    d = dm.d
     if not _fits_window(dm, k, quad):
-        d = dm.d
         x, y, z, t = quad
         raise ValueError(
             f"quadruple {quad} does not fit the probe window for k={k}: "
             f"diagonals ({d(x, z)}, {d(y, t)}), sides "
             f"({d(x, y)}, {d(y, z)}, {d(z, t)}, {d(t, x)})"
         )
-    d = dm.d
     scanned = quad
-    x, y, z, t = quad
-    dxz, dyt = d(x, z), d(y, t)
+    square = ("H1", k + 1, k + 1)
 
-    if max(dxz, dyt) == 2 * k + 4:
-        if dxz != 2 * k + 4:
+    if max(d(quad[0], quad[2]), d(quad[1], quad[3])) == 2 * k + 4:
+        if d(quad[0], quad[2]) != 2 * k + 4:
             quad = _rotate(quad)
-            x, y, z, t = quad
-            dxz, dyt = d(x, z), d(y, t)
-        if dyt == 2 * k + 4:
+        if d(quad[1], quad[3]) == 2 * k + 4:
             # both diagonals maximal: the quadruple is an H1(k+2,k+2) frame
-            placement = _anchored_placement(g, dm, "H1", k + 2, k + 2, quad)
-            return _make_witness("H1", k + 1, k + 1, placement, scanned)
+            return _window_copy(g, dm, ("H1", k + 2, k + 2), quad, square, scanned)
         # mixed diagonals: an H2(k+1,k+1) frame, long diagonal on (x,z)
-        placement = _anchored_placement(g, dm, "H2", k + 1, k + 1, quad)
-        return _make_witness("H1", k + 1, k + 1, placement, scanned)
+        return _window_copy(g, dm, ("H2", k + 1, k + 1), quad, square, scanned)
 
     # both diagonals 2k+3; sides are k+1 or k+2, and two adjacent sides
     # cannot both be k+1 (their sum must cover a diagonal)
@@ -453,31 +444,17 @@ def resolve_window_quadruple(
             break
         quad = _rotate(quad)
     x, y, z, t = quad
-    n_short = sum(
-        1 for s in (d(x, y), d(y, z), d(z, t), d(t, x)) if s == k + 1
-    )
+    n_short = [d(x, y), d(y, z), d(z, t), d(t, x)].count(k + 1)
 
     if n_short == 2:
         # two opposite short sides: a rectangular H1(k+2, k+1) frame
-        placement = _anchored_placement(g, dm, "H1", k + 2, k + 1, quad)
-        return _make_witness("H1", k + 1, k + 1, placement, scanned)
+        return _window_copy(g, dm, ("H1", k + 2, k + 1), quad, square, scanned)
 
     if n_short == 1:
         # slide z one step toward the short side, then complete the square
-        med = find_median(g, y, z, t, dm=dm)
-        if med.variant != "triangle":
-            raise InternalInconsistencyError(
-                f"median of ({y},{z},{t}) must be a triangle here"
-            )
-        z2 = med.triangle[0]
-        med2 = find_median(g, x, z2, t, dm=dm)
-        if med2.variant != "vertex":
-            raise InternalInconsistencyError(
-                f"median of ({x},{z2},{t}) must be a vertex here"
-            )
-        new_quad = (x, y, z2, med2.vertex)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
-        return _make_witness("H1", k + 1, k + 1, placement, scanned)
+        z2 = _median(g, dm, y, z, t, "triangle").triangle[0]
+        t2 = _median(g, dm, x, z2, t, "vertex").vertex
+        return _window_copy(g, dm, square, (x, y, z2, t2), square, scanned)
 
     # all sides k+2: probe the two corner medians; if either derived inner
     # pair stretches to 2k+2, an H1(k+1,k+1) square exists, otherwise the
@@ -488,28 +465,26 @@ def resolve_window_quadruple(
         raise InternalInconsistencyError(
             f"medians of ({x},{z},{t}) and ({x},{z},{y}) must be triangles here"
         )
-    t_x, t_z = mt.triangle[0], mt.triangle[1]
-    y_x, y_z = my.triangle[0], my.triangle[1]
-    if d(t_x, y_x) == 2 * k + 2:
-        mv = find_median(g, y_x, z, t_x, dm=dm)
-        if mv.variant != "vertex":
-            raise InternalInconsistencyError(
-                f"median of ({y_x},{z},{t_x}) must be a vertex here"
-            )
-        new_quad = (x, y_x, mv.vertex, t_x)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
-        return _make_witness("H1", k + 1, k + 1, placement, scanned)
-    if d(t_z, y_z) == 2 * k + 2:
-        mv = find_median(g, y_z, x, t_z, dm=dm)
-        if mv.variant != "vertex":
-            raise InternalInconsistencyError(
-                f"median of ({y_z},{x},{t_z}) must be a vertex here"
-            )
-        new_quad = (z, y_z, mv.vertex, t_z)
-        placement = _anchored_placement(g, dm, "H1", k + 1, k + 1, new_quad)
-        return _make_witness("H1", k + 1, k + 1, placement, scanned)
-    placement = _anchored_placement(g, dm, "H3", k, k, quad)
-    return _make_witness("H3", k, k, placement, scanned)
+    # each triangle has a vertex next to x and one next to z; a pair of them
+    # 2k+2 apart and their median with the far end complete the square
+    for near, far, yv, tv in zip((x, z), (z, x), my.triangle[:2], mt.triangle[:2]):
+        if d(tv, yv) == 2 * k + 2:
+            v = _median(g, dm, yv, far, tv, "vertex").vertex
+            return _window_copy(g, dm, square, (near, yv, v, tv), square, scanned)
+    pinwheel = ("H3", k, k)
+    return _window_copy(g, dm, pinwheel, quad, pinwheel, scanned)
+
+
+def _median(
+    g: Graph, dm: DistanceMatrix, u: int, v: int, w: int, variant: str
+) -> MedianResult:
+    """The median of (u, v, w), which the case analysis proves a ``variant``."""
+    med = find_median(g, u, v, w, dm=dm)
+    if med.variant != variant:
+        raise InternalInconsistencyError(
+            f"median of ({u},{v},{w}) must be a {variant} here"
+        )
+    return med
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +494,9 @@ def resolve_window_quadruple(
 class Analysis:
     """One graph, its distance matrix, and the quantities the routes share.
 
-    Helly recognition, the hyperbolicity scan, interval thinness and each
-    obstruction probe are computed on first use and kept, so every route
-    that reads one of them shares a single computation.
+    Helly recognition, the hyperbolicity scan, interval thinness, each
+    obstruction probe and the probe sweep are computed on first use and
+    kept, so every route that reads one of them shares a single computation.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -540,6 +515,21 @@ class Analysis:
     @cached_property
     def thinness(self) -> tuple[int, ThinnessWitness]:
         return interval_thinness(self.g, dm=self.dm)
+
+    @cached_property
+    def sweep(self) -> tuple[tuple[HalfInt, ObstructionWitness | None], ...]:
+        """The descending probe sweep as (threshold, witness) pairs.
+
+        Thresholds run from the diameter bound ceil(diam/2) down in half
+        steps, through the first probe that fires or down to 0.
+        """
+        out = []
+        for td in range(self.dm.diam + self.dm.diam % 2, -1, -1):
+            w = self.probe(td)
+            out.append((HalfInt(td), w))
+            if w is not None:
+                break
+        return tuple(out)
 
     def probe(self, td: int) -> ObstructionWitness | None:
         """Obstruction probe at threshold td/2; on Helly input it fires iff h > td/2.
@@ -575,34 +565,23 @@ def _require_helly(a: Analysis) -> None:
 # Derived hyperbolicity routes
 # ---------------------------------------------------------------------------
 
-def hb_by_obstructions(
-    a: Analysis,
-    *,
-    probes_out: list[tuple[HalfInt, ObstructionWitness | None]] | None = None,
-) -> HalfInt:
+def hb_by_obstructions(a: Analysis) -> HalfInt:
     """Hyperbolicity via descending obstruction probes (Helly input).
 
-    Probes thresholds t from ceil(diam/2) down to 0 in half steps; an
-    integer probe t = k runs detect_H2(k), a half probe t = k + 1/2 runs
-    detect_H1_or_H3(k).  The first firing probe gives h = t + 1/2; if no
-    probe fires the graph is 0-hyperbolic.
+    Reads ``Analysis.sweep``: an integer probe t = k runs detect_H2(k), a
+    half probe t = k + 1/2 runs detect_H1_or_H3(k).  The first firing probe
+    gives h = t + 1/2; if no probe fires the graph is 0-hyperbolic.
     """
     _require_helly(a)
-    dm = a.dm
-    top = dm.diam if dm.diam % 2 == 0 else dm.diam + 1
-    for td in range(top, -1, -1):
-        thr = HalfInt(td)
-        w = a.probe(td)
-        if probes_out is not None:
-            probes_out.append((thr, w))
-        if w is not None:
-            if td == top:
-                raise InternalInconsistencyError(
-                    f"probe at threshold {thr} fired although the diameter "
-                    f"bound caps hyperbolicity at {HalfInt(dm.diam)}"
-                )
-            return HalfInt(td + 1)
-    return HalfInt(0)
+    thr, w = a.sweep[-1]
+    if w is None:
+        return HalfInt(0)
+    if len(a.sweep) == 1:
+        raise InternalInconsistencyError(
+            f"probe at threshold {thr} fired although the diameter "
+            f"bound caps hyperbolicity at {HalfInt(a.dm.diam)}"
+        )
+    return HalfInt(thr.doubled + 1)
 
 
 def hb_by_thinness(a: Analysis) -> HalfInt:

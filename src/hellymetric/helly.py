@@ -217,22 +217,6 @@ def _interval_violation(
     return None
 
 
-def _triangle_violation(
-    g: Graph, dm: DistanceMatrix
-) -> tuple[DiskConstraint, ...] | None:
-    """(a) Edge vw, d(u,v) = d(u,w) = k >= 1: a common neighbour x of v and
-    w needs d(u,x) = k-1."""
-    return _interval_violation(g, dm, 1)
-
-
-def _quadrangle_violation(
-    g: Graph, dm: DistanceMatrix
-) -> tuple[DiskConstraint, ...] | None:
-    """(b') d(v,w) = 2, d(u,v) = d(u,w) = k: a common neighbour x of v and w
-    needs d(u,x) = k-1."""
-    return _interval_violation(g, dm, 2)
-
-
 def _clique_helly_fails(
     g: Graph, dm: DistanceMatrix
 ) -> tuple[DiskConstraint, ...] | None:
@@ -331,8 +315,8 @@ def is_pseudo_modular(
     k = d(u,v): they intersect pairwise and share no vertex.
     """
     dm = dm or apsp(g)
-    for violation in (_triangle_violation, _quadrangle_violation):
-        disks = violation(g, dm)
+    for gap in (1, 2):
+        disks = _interval_violation(g, dm, gap)
         if disks is not None:
             return PseudoModularCheck(False, disks)
     return PseudoModularCheck(True)

@@ -109,9 +109,8 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     probes: tuple[tuple[HalfInt, ObstructionWitness | None], ...] | None = None
     t0 = time.perf_counter()
     if hc:
-        probe_log: list[tuple[HalfInt, ObstructionWitness | None]] = []
-        ob = hb_by_obstructions(a, probes_out=probe_log)
-        probes = tuple(probe_log)
+        ob = hb_by_obstructions(a)
+        probes = a.sweep
         th = hb_by_thinness(a)
         power = _power_table(a)
         eq = half_hyperbolic_equivalents(a)

@@ -15,6 +15,7 @@ from hellymetric import (
     to_edge_list,
 )
 from hellymetric.cli import _read_graph, main
+from hellymetric.families import FamilyGraph
 from hellymetric.report import CLAIM_IDS
 
 
@@ -71,6 +72,24 @@ def test_generate_rectangular_family(capsys) -> None:
     assert "# H1(2,1) n=8" in out
     g = load_graph(out)
     assert g.n == 8
+
+
+def test_generate_family_reads_the_host_cells_once(monkeypatch, capsys) -> None:
+    # one host_cells() call per file, not one per vertex
+    calls = []
+    host_cells = FamilyGraph.host_cells
+
+    def counted(self):
+        calls.append(self.family)
+        return host_cells(self)
+
+    monkeypatch.setattr(FamilyGraph, "host_cells", counted)
+    for fam in ("h1", "h2", "h3"):
+        assert main(["generate", "--family", fam, "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        fg = build_obstruction(fam.upper(), 3, 3)
+        assert f"# cell {fg.graph.n - 1} = " in out
+    assert calls == ["H1", "H2", "H3"]
 
 
 def test_generate_missing_parameter_is_an_input_error(capsys) -> None:

@@ -173,22 +173,6 @@ def test_non_helly_scan_may_simply_not_fire() -> None:
 # materialize: dispatch, fixed point, and rejection
 # ---------------------------------------------------------------------------
 
-def test_materialize_is_a_fixed_point_of_detection() -> None:
-    cases = [
-        (diamond(), detect_H2, 0),
-        (sun(), detect_H1_or_H3, 0),
-        (king_grid(3, 3), detect_H1, 0),
-        (king_grid(4, 4), detect_H1_or_H3, 0),
-        (build_obstruction("H2", 1, 1).graph, detect_H2, 1),
-        (build_obstruction("H1", 3, 3).graph, detect_H1_or_H3, 2),
-        (build_obstruction("H3", 1, 1).graph, detect_H1_or_H3, 1),
-    ]
-    for g, det, k in cases:
-        w = det(g, k)
-        assert w is not None
-        assert materialize(g, w) == w.materialized
-
-
 def ladder_with_relabellings() -> list[Graph]:
     """King p x q (2 <= p <= q <= 8) and H1/H2/H3(k, l), k <= l <= 3, each
     also under one seeded relabelling, which changes the scans' first hits."""
@@ -208,12 +192,18 @@ def ladder_with_relabellings() -> list[Graph]:
 
 
 def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
-    # every fired probe rebuilds to its own copy; so does the resolution of
-    # each first window quadruple, which phase 1 of detect_H1_or_H3
-    # pre-empts on Helly input.  Together they reach every certification
-    # branch: exact corners, the wide H2 variant, and the window through
-    # each case of its resolution (a 2k+4 diagonal frame, two, one or no
-    # short sides, the last ending in an H1 square or the pinwheel H3)
+    # every fired probe and every detect_H1 hit rebuilds to its own copy; so
+    # does the resolution of each first window quadruple, which phase 1 of
+    # detect_H1_or_H3 pre-empts on Helly input, and of the corners of
+    # H1(k+2, k+2) at probe k, a window no scan returns first.  Together they
+    # reach every certification branch: exact corners, the wide H2 variant,
+    # and the window through each case of its resolution (an H1 or H2 frame
+    # on a 2k+4 diagonal, two, one or no short sides, the last ending in an
+    # H1 square or the pinwheel H3)
+    windows = []
+    for k in range(3):
+        fg = build_obstruction("H1", k + 2, k + 2)
+        windows.append((fg.graph, apsp(fg.graph), k, fg.corners))
     seen: set[str] = set()
     for g in ladder_with_relabellings():
         a = Analysis(g)
@@ -225,20 +215,29 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
                 exact = _realizes_corner_pattern(dm, w.family, w.k, w.l, w.corners)
                 seen.add("exact" if exact else f"wide {w.family}")
         for k in range(dm.diam // 2):
+            w = detect_H1(g, k, dm=dm)
+            if w is not None:
+                assert materialize(g, w, dm=dm) == w.materialized, (g.name, k)
             lo = 2 * k + 3
             quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
             if quad is not None:
-                w = resolve_window_quadruple(g, k, quad, dm=dm)
-                assert materialize(g, w, dm=dm) == w.materialized, (g.name, quad)
-                if max(dm.d(quad[0], quad[2]), dm.d(quad[1], quad[3])) > lo:
-                    seen.add(f"window {w.family}, frame")
-                else:
-                    short = sum(dm.d(quad[i], quad[i - 1]) == k + 1 for i in range(4))
-                    seen.add(f"window {w.family}, {short} short")
+                windows.append((g, dm, k, quad))
+    for g, dm, k, quad in windows:
+        w = resolve_window_quadruple(g, k, quad, dm=dm)
+        assert materialize(g, w, dm=dm) == w.materialized, (g.name, quad)
+        diagonals = (dm.d(quad[0], quad[2]), dm.d(quad[1], quad[3]))
+        if min(diagonals) == 2 * k + 4:
+            seen.add(f"window {w.family}, H1 frame")
+        elif max(diagonals) == 2 * k + 4:
+            seen.add(f"window {w.family}, H2 frame")
+        else:
+            short = sum(dm.d(quad[i], quad[i - 1]) == k + 1 for i in range(4))
+            seen.add(f"window {w.family}, {short} short")
     assert seen == {
         "exact",
         "wide H2",
-        "window H1, frame",
+        "window H1, H1 frame",
+        "window H1, H2 frame",
         "window H1, 2 short",
         "window H1, 1 short",
         "window H1, 0 short",
@@ -317,9 +316,9 @@ def test_hb_routes_agree_on_families(family: str, k: int, l: int) -> None:
 
 
 def test_probe_log_records_descending_sweep() -> None:
-    probes: list = []
-    value = hb_by_obstructions(Analysis(diamond()), probes_out=probes)
-    assert value == HalfInt(1)
+    a = Analysis(diamond())
+    assert hb_by_obstructions(a) == HalfInt(1)
+    probes = a.sweep
     thresholds = [thr for thr, _ in probes]
     assert thresholds == [HalfInt(2), HalfInt(1), HalfInt(0)]
     assert probes[0][1] is None and probes[1][1] is None

@@ -24,18 +24,18 @@ from hellymetric import (
 from hellymetric.graphs import random_connected_graph
 from hellymetric.helly import (
     _clique_helly_fails,
-    _quadrangle_violation,
-    _triangle_violation,
+    _interval_violation,
     _undominated_c4,
 )
 
-# (a), (b'), (c), (d) in the order is_helly checks them
-CONDITIONS = (
-    _triangle_violation,
-    _quadrangle_violation,
-    _clique_helly_fails,
-    _undominated_c4,
-)
+# (a), (b'), (c), (d) in the order is_helly checks them, under the names
+# the test ids below carry
+CONDITIONS = {
+    "_triangle_violation": lambda g, dm: _interval_violation(g, dm, 1),
+    "_quadrangle_violation": lambda g, dm: _interval_violation(g, dm, 2),
+    "_clique_helly_fails": _clique_helly_fails,
+    "_undominated_c4": _undominated_c4,
+}
 
 
 def local_says_helly(g: Graph) -> bool:
@@ -134,21 +134,21 @@ WITNESS = {
 @pytest.mark.parametrize(
     "name,g,broken",
     [
-        ("C5", cycle_graph(5), _triangle_violation),
-        ("C6", cycle_graph(6), _quadrangle_violation),
-        ("octahedron", octahedron(), _clique_helly_fails),
-        ("C4", cycle_graph(4), _undominated_c4),
+        ("C5", cycle_graph(5), "_triangle_violation"),
+        ("C6", cycle_graph(6), "_quadrangle_violation"),
+        ("octahedron", octahedron(), "_clique_helly_fails"),
+        ("C4", cycle_graph(4), "_undominated_c4"),
     ],
 )
 def test_each_condition_alone_rejects(name, g, broken) -> None:
     dm = apsp(g)
-    assert [violation(g, dm) is not None for violation in CONDITIONS] == [
-        violation is broken for violation in CONDITIONS
-    ], name
+    assert {
+        cond: violation(g, dm) is not None for cond, violation in CONDITIONS.items()
+    } == {cond: cond == broken for cond in CONDITIONS}, name
     chk = is_helly(g)
     assert not chk
     assert chk.counterexample == WITNESS[name]
-    assert chk.pseudo_modular == (broken in (_clique_helly_fails, _undominated_c4))
+    assert chk.pseudo_modular == (broken in ("_clique_helly_fails", "_undominated_c4"))
     assert_certificate(g, chk.counterexample)
 
 

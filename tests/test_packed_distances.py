@@ -3,9 +3,9 @@
 ``apsp`` runs one of two kernels, chosen by ``_all_sources_pays``: a BFS
 from every source at once on packed 64-bit frontier rows, or one bitset
 BFS per source.  Each input here is checked under both kernels, and the
-test pins which one ``apsp`` picks.  The power bitmasks, and the disk
-bitmasks the quadruple scanner cuts from them, are checked against a plain
-loop over the vertices.
+test pins which one ``apsp`` picks.  The power bitmasks, and the disk and
+band bitmasks the quadruple scanner cuts from them, are checked against a
+plain loop over the vertices.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import pytest
 from hellymetric import (
     Graph,
     apsp,
+    build_obstruction,
     cycle_graph,
     king_grid,
     path_graph,
@@ -27,6 +28,7 @@ from hellymetric import (
 from hellymetric.detect import _band_rows
 from hellymetric.distances import _all_sources, _all_sources_pays, _bfs_row
 from hellymetric.graphs import DisconnectedGraphError
+from hellymetric.report import build_analysis, verify_claims
 
 from oracles import all_distances, loop_ball_bits, to_networkx
 
@@ -156,6 +158,13 @@ def test_ball_bits_and_power_rows_match_the_loop(g: Graph) -> None:
         ecc = int(dm.ecc[c])
         for r in (*range(ecc + 1), ecc + 1, ecc + 9):
             assert _band_rows(dm, 0, r)[c] == loop_ball_bits(dm, c, r), (c, r)
+    for lo in range(1, dm.diam + 2):
+        for hi in range(lo, dm.diam + 3):
+            want = [
+                loop_ball_bits(dm, v, hi) & ~loop_ball_bits(dm, v, lo - 1)
+                for v in range(g.n)
+            ]
+            assert _band_rows(dm, lo, hi) == want, (lo, hi)
     for ell in range(dm.diam + 3):
         want = [loop_ball_bits(dm, v, ell) & ~(1 << v) for v in range(g.n)]
         assert dm.power_rows(ell) == want, ell
@@ -170,3 +179,23 @@ def test_power_rows_packed_in_blocks_match_the_loop(monkeypatch) -> None:
     for ell in range(dm.diam + 2):
         want = [loop_ball_bits(dm, v, ell) & ~(1 << v) for v in range(g.n)]
         assert dm.power_rows(ell) == want, ell
+
+
+def test_helly_analysis_never_packs_the_empty_power(monkeypatch) -> None:
+    # every band from distance 1 is a power's own rows, so the empty graph's
+    # all-false n x n mask is never packed
+    cached: set[int] = set()
+    power_rows = distances.DistanceMatrix.power_rows
+
+    def recorded(self, ell):
+        rows = power_rows(self, ell)
+        cached.update(self._power_rows)
+        return rows
+
+    monkeypatch.setattr(distances.DistanceMatrix, "power_rows", recorded)
+    kings = [king_grid(p, q) for p, q in ((2, 2), (2, 5), (3, 3), (5, 8), (8, 8))]
+    families = [build_obstruction(f, 1).graph for f in ("H1", "H2", "H3")]
+    for g in kings + families:
+        assert build_analysis(g).classifiers_agree, g.name
+        assert all(c.status == "PASS" for c in verify_claims(g)), g.name
+    assert cached and 0 not in cached

@@ -148,9 +148,7 @@ def test_nearest_corner_order_is_breadth_first(family: str, k: int, l: int) -> N
 def test_certifying_the_firing_copy_on_king_30_stays_small() -> None:
     g = king_grid(30, 30)
     a = Analysis(g)
-    probes: list = []
-    hb_by_obstructions(a, probes_out=probes)
-    w = probes[-1][1]
+    _, w = a.sweep[-1]
     assert w is not None and len(w.cells) > 400
     tracemalloc.start()
     try:
