@@ -173,6 +173,22 @@ def test_non_helly_scan_may_simply_not_fire() -> None:
 # materialize: dispatch, fixed point, and rejection
 # ---------------------------------------------------------------------------
 
+def test_materialize_is_a_fixed_point_of_detection() -> None:
+    cases = [
+        (diamond(), detect_H2, 0),
+        (sun(), detect_H1_or_H3, 0),
+        (king_grid(3, 3), detect_H1, 0),
+        (king_grid(4, 4), detect_H1_or_H3, 0),
+        (build_obstruction("H2", 1, 1).graph, detect_H2, 1),
+        (build_obstruction("H1", 3, 3).graph, detect_H1_or_H3, 2),
+        (build_obstruction("H3", 1, 1).graph, detect_H1_or_H3, 1),
+    ]
+    for g, det, k in cases:
+        w = det(g, k)
+        assert w is not None
+        assert materialize(g, w) == w.materialized
+
+
 def ladder_with_relabellings() -> list[Graph]:
     """King p x q (2 <= p <= q <= 8) and H1/H2/H3(k, l), k <= l <= 3, each
     also under one seeded relabelling, which changes the scans' first hits."""
