@@ -112,21 +112,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"pair={report.thinness_witness.pair} "
         f"distance={report.thinness_witness.distance}",
     ]
-    if report.is_helly:
-        assert report.hb_by_obstructions is not None
-        assert report.hb_by_thinness is not None
+    routes = report.routes
+    if routes is not None:
         lines.append(
-            f"routes: obstructions={report.hb_by_obstructions} "
-            f"thinness={report.hb_by_thinness} "
-            f"agree={'yes' if report.classifiers_agree else 'NO'}"
+            f"routes: obstructions={routes.by_obstructions} "
+            f"thinness={routes.by_thinness} "
+            f"agree={'yes' if routes.agree else 'NO'}"
         )
-        assert report.equivalents is not None
         lines.append(
             "equivalents: "
-            + " ".join(f"{k}={v}" for k, v in report.equivalents.items())
+            + " ".join(f"{k}={v}" for k, v in routes.equivalents.items())
         )
-        assert report.probes is not None
-        for t, w in report.probes:
+        for t, w in routes.probes:
             if w is None:
                 lines.append(f"probe {t}: none")
             else:
@@ -155,11 +152,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         payload = json.dumps(report_to_dict(report), indent=2) + "\n"
         _emit(payload, args.json)
 
-    if not report.is_helly:
+    if routes is None:
         return 4
-    if report.classifiers_agree is False:
-        return 2
-    return 0
+    return 0 if routes.agree else 2
 
 
 # ---------------------------------------------------------------------------
@@ -250,22 +245,21 @@ def cmd_detect(args: argparse.Namespace) -> int:
     g = _read_graph(args.path)
     dm = apsp(g)
     helly = bool(is_helly(g, dm=dm))
-    detector = _DETECTORS[args.family]
 
     witness: ObstructionWitness | None = None
     note: str | None = None
-    if helly:
-        witness = detector(g, args.k, dm=dm)
-    else:
+    if not helly:
         sys.stdout.write(
             "warning: input is not Helly; a found witness is still sound, "
             "but absence certifies nothing\n"
         )
-        try:
-            witness = detector(g, args.k, dm=dm)
-        except (MaterializeError, MedianSearchError) as exc:
-            note = f"detector aborted on non-Helly structure: {exc}"
-            sys.stdout.write(note + "\n")
+    try:
+        witness = _DETECTORS[args.family](g, args.k, dm=dm)
+    except (MaterializeError, MedianSearchError) as exc:
+        if helly:
+            raise
+        note = f"detector aborted on non-Helly structure: {exc}"
+        sys.stdout.write(note + "\n")
 
     if witness is not None:
         _print_witness(witness, args.materialize)

@@ -518,11 +518,12 @@ class Analysis:
 
     @cached_property
     def sweep(self) -> tuple[tuple[HalfInt, ObstructionWitness | None], ...]:
-        """The descending probe sweep as (threshold, witness) pairs.
+        """The descending probe sweep as (threshold, witness) pairs (Helly input).
 
         Thresholds run from the diameter bound ceil(diam/2) down in half
         steps, through the first probe that fires or down to 0.
         """
+        _require_helly(self)
         out = []
         for td in range(self.dm.diam + self.dm.diam % 2, -1, -1):
             w = self.probe(td)
@@ -572,7 +573,6 @@ def hb_by_obstructions(a: Analysis) -> HalfInt:
     half probe t = k + 1/2 runs detect_H1_or_H3(k).  The first firing probe
     gives h = t + 1/2; if no probe fires the graph is 0-hyperbolic.
     """
-    _require_helly(a)
     thr, w = a.sweep[-1]
     if w is None:
         return HalfInt(0)
@@ -597,6 +597,53 @@ def hb_by_thinness(a: Analysis) -> HalfInt:
     if a.probe(tau) is not None:
         return HalfInt(tau + 1)
     return HalfInt(tau)
+
+
+@dataclass(frozen=True)
+class HellyRoutes:
+    """Every derived route of one Helly analysis, with its probe sweep."""
+
+    by_obstructions: HalfInt
+    by_thinness: HalfInt
+    power: tuple[tuple[HalfInt, bool], ...]  # see _power_table
+    equivalents: dict[str, bool]
+    probes: tuple[tuple[HalfInt, ObstructionWitness | None], ...]
+    agree: bool  # every route matches the direct hyperbolicity scan
+
+
+def helly_routes(a: Analysis) -> HellyRoutes:
+    """Run and judge every derived route; non-Helly input raises NotHellyError."""
+    ob = hb_by_obstructions(a)
+    th = hb_by_thinness(a)
+    power = _power_table(a)
+    eq = half_hyperbolic_equivalents(a)
+    hb, _ = a.hyperbolicity
+    agree = (
+        ob == hb
+        and th == hb
+        and not _power_mismatches(power, hb)
+        and _equivalents_agree(eq, hb)
+    )
+    return HellyRoutes(ob, th, power, eq, a.sweep, agree)
+
+
+def _power_table(a: Analysis) -> tuple[tuple[HalfInt, bool], ...]:
+    """The power route's decision at every threshold 0, 1/2, ..., h + 1."""
+    hb, _ = a.hyperbolicity
+    return tuple(
+        (HalfInt(td), power_characterization(a, HalfInt(td)))
+        for td in range(0, hb.doubled + 3)
+    )
+
+
+def _power_mismatches(
+    power: tuple[tuple[HalfInt, bool], ...], hb: HalfInt
+) -> list[HalfInt]:
+    return [t for t, within in power if within != (hb <= t)]
+
+
+def _equivalents_agree(eq: dict[str, bool], hb: HalfInt) -> bool:
+    return set(eq.values()) == {hb <= HalfInt(1)}
 
 
 # ---------------------------------------------------------------------------

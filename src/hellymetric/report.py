@@ -11,11 +11,14 @@ from dataclasses import dataclass
 
 from .detect import (
     Analysis,
+    HellyRoutes,
     ObstructionWitness,
+    _equivalents_agree,
+    _power_mismatches,
+    _power_table,
     half_hyperbolic_equivalents,
-    hb_by_obstructions,
     hb_by_thinness,
-    power_characterization,
+    helly_routes,
 )
 from .families import FamilyGraph, cell_to_host, host_side
 from .graphs import Graph
@@ -41,12 +44,7 @@ class AnalysisReport:
     hyperbolicity_witness: HyperbolicityWitness
     thinness: int
     thinness_witness: ThinnessWitness
-    hb_by_obstructions: HalfInt | None
-    hb_by_thinness: HalfInt | None
-    power_results: tuple[tuple[HalfInt, bool], ...] | None
-    equivalents: dict[str, bool] | None
-    classifiers_agree: bool | None
-    probes: tuple[tuple[HalfInt, ObstructionWitness | None], ...] | None
+    routes: HellyRoutes | None
     hull: dict[str, object] | None
     timings_ms: dict[str, int]
 
@@ -55,30 +53,11 @@ def _since(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _power_table(a: Analysis) -> tuple[tuple[HalfInt, bool], ...]:
-    """The power route's decision at every threshold 0, 1/2, ..., h + 1."""
-    hb, _ = a.hyperbolicity
-    return tuple(
-        (HalfInt(td), power_characterization(a, HalfInt(td)))
-        for td in range(0, hb.doubled + 3)
-    )
-
-
-def _power_mismatches(
-    power: tuple[tuple[HalfInt, bool], ...], hb: HalfInt
-) -> list[HalfInt]:
-    return [t for t, within in power if within != (hb <= t)]
-
-
-def _equivalents_agree(eq: dict[str, bool], hb: HalfInt) -> bool:
-    return set(eq.values()) == {hb <= HalfInt(1)}
-
-
 def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     """Run every analysis phase on one connected graph.
 
     On non-Helly input the derived classifiers, the probe sweep, and the
-    equivalence panel are skipped (reported as absent); the direct
+    equivalence panel are skipped (``routes`` is None); the direct
     hyperbolicity and thinness phases always run.  The hull phase is
     attempted unless disabled and degrades to a "skipped" note when the
     enumeration budget stops it.
@@ -86,7 +65,6 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     timings: dict[str, int] = {}
     t0 = time.perf_counter()
     a = Analysis(g)
-    dm = a.dm
     timings["apsp"] = _since(t0)
 
     t0 = time.perf_counter()
@@ -101,32 +79,15 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     tau, tw = a.thinness
     timings["thinness"] = _since(t0)
 
-    ob: HalfInt | None = None
-    th: HalfInt | None = None
-    power: tuple[tuple[HalfInt, bool], ...] | None = None
-    eq: dict[str, bool] | None = None
-    agree: bool | None = None
-    probes: tuple[tuple[HalfInt, ObstructionWitness | None], ...] | None = None
     t0 = time.perf_counter()
-    if hc:
-        ob = hb_by_obstructions(a)
-        probes = a.sweep
-        th = hb_by_thinness(a)
-        power = _power_table(a)
-        eq = half_hyperbolic_equivalents(a)
-        agree = (
-            ob == hb
-            and th == hb
-            and not _power_mismatches(power, hb)
-            and _equivalents_agree(eq, hb)
-        )
+    routes = helly_routes(a) if hc else None
     timings["classifiers"] = _since(t0)
 
     hull_info: dict[str, object] | None = None
     t0 = time.perf_counter()
     if include_hull:
         try:
-            res = hull(g, dm=dm)
+            res = hull(g, dm=a.dm)
             checks = hull_validate(a, result=res)
             hull_info = {
                 "n": res.graph.n,
@@ -141,8 +102,8 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
         name=g.name or "G",
         n=g.n,
         m=g.m,
-        diameter=dm.diam,
-        radius=dm.rad,
+        diameter=a.dm.diam,
+        radius=a.dm.rad,
         is_helly=bool(hc),
         helly_counterexample=hc.counterexample,
         is_pseudo_modular=hc.pseudo_modular,
@@ -150,12 +111,7 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
         hyperbolicity_witness=hw,
         thinness=tau,
         thinness_witness=tw,
-        hb_by_obstructions=ob,
-        hb_by_thinness=th,
-        power_results=power,
-        equivalents=eq,
-        classifiers_agree=agree,
-        probes=probes,
+        routes=routes,
         hull=hull_info,
         timings_ms=timings,
     )
@@ -184,27 +140,25 @@ def witness_to_dict(
 def report_to_dict(r: AnalysisReport) -> dict[str, object]:
     """JSON-ready dict with a stable key set (absent phases stay as null)."""
     cls: dict[str, object] | None = None
-    if r.hb_by_obstructions is not None:
-        assert r.hb_by_thinness is not None and r.power_results is not None
+    probes: list[dict[str, object]] | None = None
+    if r.routes is not None:
         cls = {
             "direct_doubled": r.hyperbolicity.doubled,
-            "by_obstructions_doubled": r.hb_by_obstructions.doubled,
-            "by_thinness_doubled": r.hb_by_thinness.doubled,
+            "by_obstructions_doubled": r.routes.by_obstructions.doubled,
+            "by_thinness_doubled": r.routes.by_thinness.doubled,
             "power": [
                 {"threshold_doubled": t.doubled, "within": within}
-                for t, within in r.power_results
+                for t, within in r.routes.power
             ],
-            "agree": r.classifiers_agree,
+            "agree": r.routes.agree,
         }
-    probes: list[dict[str, object]] | None = None
-    if r.probes is not None:
         probes = [
             {
                 "threshold_doubled": t.doubled,
                 "fired": w is not None,
                 "witness": witness_to_dict(w) if w is not None else None,
             }
-            for t, w in r.probes
+            for t, w in r.routes.probes
         ]
     return {
         "name": r.name,
@@ -235,7 +189,7 @@ def report_to_dict(r: AnalysisReport) -> dict[str, object]:
             "distance": r.thinness_witness.distance,
         },
         "classifiers": cls,
-        "equivalents": r.equivalents,
+        "equivalents": None if r.routes is None else r.routes.equivalents,
         "probes": probes,
         "hull": r.hull,
         "timings_ms": r.timings_ms,

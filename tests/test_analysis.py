@@ -58,7 +58,7 @@ def test_verify_claims_computes_each_quantity_once(calls) -> None:
 @pytest.mark.parametrize("p,q", [(3, 3), (4, 5)])
 def test_build_analysis_scans_each_graph_once(calls, p: int, q: int) -> None:
     report = build_analysis(king_grid(p, q))
-    assert report.classifiers_agree
+    assert report.routes.agree
     counts = Counter(calls)
     assert counts and max(counts.values()) == 1
     scanned = [gid for name, gid, _ in calls if name == "hyperbolicity"]

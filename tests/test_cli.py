@@ -7,6 +7,7 @@ import pytest
 
 from hellymetric import (
     Graph,
+    HalfInt,
     InternalInconsistencyError,
     build_obstruction,
     cycle_graph,
@@ -223,15 +224,36 @@ def assert_internal_inconsistency(capsys) -> None:
 
 
 def test_analyze_exits_2_when_routes_disagree(tmp_path, capsys, monkeypatch) -> None:
-    import hellymetric.report as report
+    import hellymetric.detect as detect
 
     def disagreeing(a, **kwargs):
         raise InternalInconsistencyError("probe and scan disagree")
 
     path = write_graph(tmp_path, "diamond.edges", build_obstruction("H2", 0, 0).graph)
-    monkeypatch.setattr(report, "hb_by_obstructions", disagreeing)
+    monkeypatch.setattr(detect, "hb_by_obstructions", disagreeing)
     assert main(["analyze", path]) == 2
     assert_internal_inconsistency(capsys)
+
+
+def test_analyze_exits_2_when_a_route_returns_a_wrong_value(
+    tmp_path, capsys, monkeypatch
+) -> None:
+    import hellymetric.detect as detect
+
+    def off_by_half(a):
+        hb, _ = a.hyperbolicity
+        return HalfInt(hb.doubled + 1)
+
+    path = write_graph(tmp_path, "diamond.edges", build_obstruction("H2", 0, 0).graph)
+    json_path = tmp_path / "r.json"
+    monkeypatch.setattr(detect, "hb_by_thinness", off_by_half)
+    assert main(["analyze", path, "--no-hull", "--json", str(json_path)]) == 2
+    captured = capsys.readouterr()
+    assert "routes: obstructions=1/2 thinness=1 agree=NO\n" in captured.out
+    assert captured.err == ""
+    payload = json.loads(json_path.read_text(encoding="utf-8"))
+    assert payload["classifiers"]["agree"] is False
+    assert payload["classifiers"]["by_thinness_doubled"] == 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from hellymetric import (
     half_hyperbolic_equivalents,
     hb_by_obstructions,
     hb_by_thinness,
+    helly_routes,
     hyperbolicity,
     king_grid,
     materialize,
@@ -34,6 +35,7 @@ from hellymetric import (
     resolve_window_quadruple,
 )
 from hellymetric.detect import _realizes_corner_pattern, _scan_quadruples
+from hellymetric.report import build_analysis
 
 
 def diamond():
@@ -371,6 +373,32 @@ def test_aggregates_reject_non_helly_input() -> None:
         half_hyperbolic_equivalents(Analysis(g))
     with pytest.raises(NotHellyError):
         power_characterization(Analysis(g), 1)
+    with pytest.raises(NotHellyError):
+        helly_routes(Analysis(g))
+    assert build_analysis(g, include_hull=False).routes is None
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_sweep_rejects_non_helly_input(n: int) -> None:
+    # on C8 the probes would raise MaterializeError; on C5 the sweep would
+    # run and mean nothing
+    with pytest.raises(NotHellyError):
+        Analysis(cycle_graph(n)).sweep
+
+
+def test_helly_routes_match_the_routes_they_collect() -> None:
+    a = Analysis(king_grid(4, 5))
+    routes = helly_routes(a)
+    hb, _ = a.hyperbolicity
+    assert routes.agree
+    assert routes.by_obstructions == hb_by_obstructions(a) == hb
+    assert routes.by_thinness == hb_by_thinness(a) == hb
+    assert routes.probes is a.sweep
+    assert routes.equivalents == half_hyperbolic_equivalents(a)
+    assert routes.power == tuple(
+        (HalfInt(td), power_characterization(a, HalfInt(td)))
+        for td in range(hb.doubled + 3)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,6 @@ def test_helly_analysis_never_packs_the_empty_power(monkeypatch) -> None:
     kings = [king_grid(p, q) for p, q in ((2, 2), (2, 5), (3, 3), (5, 8), (8, 8))]
     families = [build_obstruction(f, 1).graph for f in ("H1", "H2", "H3")]
     for g in kings + families:
-        assert build_analysis(g).classifiers_agree, g.name
+        assert build_analysis(g).routes.agree, g.name
         assert all(c.status == "PASS" for c in verify_claims(g)), g.name
     assert cached and 0 not in cached
