@@ -11,13 +11,19 @@ grows the replacements end at far-apart pairs.  For a quadruple visited at
 its largest-sum pairing (d(u,v)+d(w,x) maximal), twice its delta is at most
 min(d(u,v), d(w,x)).
 
+The far-apart pairs come from the BFS levels that ``apsp`` ran: (u, v) is
+far-apart unless, with u as the source, v is a level-d(u, v) vertex adjacent
+to the next level, or the same holds with the roles swapped.
+``DistanceMatrix.far_apart_pairs`` reads them, in (u, v) order, from the
+packed relation a block of rows at a time, so no n x n array is built.
+
 The scan runs in two passes over the far-apart pairs.  The value pass sweeps
 them in decreasing distance order and keeps only the running maximum gap:
 a pair at distance <= best cannot lie in a larger gap, so the sweep stops at
 the first chunk of 64 outer pairs whose first distance is <= best, and each
 chunk pairs only with the pairs above best.  The witness pass
 (B = the value found) keeps the pairs at distance >= B, in the (u, v)
-order in which the far-apart mask lists them, and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
+order in which they are read, and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
 pairs whose first vertex is > a, and the walk stops at the first a with a
 gap of B, returning the lexicographically smallest sorted quadruple among
 that a's hits.  This is the lexicographically smallest sorted maximizer
@@ -141,13 +147,6 @@ def is_block_graph(g: Graph) -> bool:
     return True
 
 
-def _far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
-    """far[u, v]: no neighbour of u is farther from v, nor of v from u."""
-    # reach[u, v]: the largest distance from a neighbour of u to v
-    reach = g.reduce_neighbors(np.maximum, dist)
-    return (reach <= dist) & (reach.T <= dist)
-
-
 def _gaps(
     dist: np.ndarray,
     U: np.ndarray, V: np.ndarray, DUV: np.ndarray,
@@ -192,7 +191,7 @@ def hyperbolicity(
         return HalfInt(0), zero_witness
 
     dist = dm.dist
-    iu, iv = (a.astype(np.int32) for a in np.nonzero(np.triu(_far_apart(g, dist), 1)))
+    iu, iv = dm.far_apart_pairs()
     duv = dist[iu, iv].astype(np.int32)
     best = _value_pass(dist, iu, iv, duv)
     if best == 0:
@@ -237,7 +236,7 @@ def _witness_pass(
     columns.  The first a with a hit is the smallest vertex of every
     maximizer, and every maximizer with smallest vertex a is among its hits.
     """
-    # np.nonzero listed the pairs in (u, v) order, and the filter keeps it
+    # far_apart_pairs listed the pairs in (u, v) order, and the filter keeps it
     keep = duv >= best
     u_arr, v_arr, d_arr = iu[keep], iv[keep], duv[keep]
     npairs = d_arr.shape[0]

@@ -15,7 +15,8 @@ disk masks, ``pair_loop_thinness`` loops over its endpoint pairs,
 ``reorder_thinness`` batches them per source over a reordered matrix,
 ``all_pairs_hyperbolicity`` is the four-point scan over all of its pairs,
 ``tie_scan_hyperbolicity`` the one-pass tie-keeping scan over its
-far-apart pairs (both short-circuit block graphs by ``dfs_is_block_graph``,
+far-apart pairs, found by ``fold_far_apart``'s neighbour max-fold over the
+matrix (both short-circuit block graphs by ``dfs_is_block_graph``,
 a Hopcroft-Tarjan DFS over the adjacency whose components must be cliques),
 ``box_extremal_functions`` enumerates the hull's candidate box
 under the package's own budget pre-check, ``dfs_extremal_functions`` runs
@@ -66,11 +67,7 @@ from hellymetric import (
 )
 from hellymetric.families import family_corner_cells
 from hellymetric.hull import HullBudgetError, resolve_budget
-from hellymetric.hyperbolicity import (
-    HyperbolicityWitness,
-    _far_apart,
-    _sums,
-)
+from hellymetric.hyperbolicity import HyperbolicityWitness, _sums
 
 
 class EnumerationBudgetError(Exception):
@@ -800,6 +797,13 @@ def all_pairs_hyperbolicity(
     return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
 
 
+def fold_far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
+    """far[u, v]: no neighbour of u is farther from v, nor of v from u."""
+    # reach[u, v]: the largest distance from a neighbour of u to v
+    reach = g.reduce_neighbors(np.maximum, dist)
+    return (reach <= dist) & (reach.T <= dist)
+
+
 def tie_scan_hyperbolicity(
     g: Graph, dm: DistanceMatrix, *, threads: int = 1
 ) -> tuple[HalfInt, HyperbolicityWitness]:
@@ -817,7 +821,7 @@ def tie_scan_hyperbolicity(
         return HalfInt(0), zero_witness
 
     dist = dm.dist
-    iu, iv = np.nonzero(np.triu(_far_apart(g, dist), 1))
+    iu, iv = np.nonzero(np.triu(fold_far_apart(g, dist), 1))
     duv = dist[iu, iv].astype(np.int32)
     order = np.lexsort((iv, iu, -duv))
     u_arr = iu[order].astype(np.int32)

@@ -3,9 +3,10 @@
 ``apsp`` runs one of two kernels, chosen by ``_all_sources_pays``: a BFS
 from every source at once on packed 64-bit frontier rows, or one bitset
 BFS per source.  Each input here is checked under both kernels, and the
-test pins which one ``apsp`` picks.  The power bitmasks, and the disk and
-band bitmasks the quadruple scanner cuts from them, are checked against a
-plain loop over the vertices.
+test pins which one ``apsp`` picks.  The far-apart pairs that either kernel's
+BFS levels mark are checked against the pure-Python oracle.  The power
+bitmasks, and the disk and band bitmasks the quadruple scanner cuts from
+them, are checked against a plain loop over the vertices.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from hellymetric import (
+    DistanceMatrix,
     Graph,
     apsp,
     build_obstruction,
@@ -30,12 +32,16 @@ from hellymetric.distances import _all_sources, _all_sources_pays, _bfs_row
 from hellymetric.graphs import DisconnectedGraphError
 from hellymetric.report import build_analysis, verify_claims
 
-from oracles import all_distances, loop_ball_bits, to_networkx
+from oracles import (
+    all_distances,
+    far_apart_pairs,
+    fold_far_apart,
+    loop_ball_bits,
+    to_networkx,
+)
 
 distances = importlib.import_module("hellymetric.distances")
 graphs = importlib.import_module("hellymetric.graphs")
-# the package re-exports a function under the module's name
-scan_module = importlib.import_module("hellymetric.hyperbolicity")
 
 GNP = [random_connected_graph(n, 5 / (n - 1), n) for n in range(50, 151, 10)]
 KINGS = [king_grid(p, q) for p, q in ((5, 5), (6, 11), (12, 12), (20, 20))]
@@ -65,8 +71,8 @@ def assert_both_kernels(g: Graph) -> np.ndarray:
     ref = oracle_matrix(g)
     assert np.array_equal(ref, networkx_matrix(g)), g.name
     assert np.array_equal(apsp(g).dist, ref), g.name
-    assert np.array_equal(_all_sources(g), ref), g.name
-    assert np.array_equal(np.array([_bfs_row(g, s) for s in range(g.n)]), ref), g.name
+    assert np.array_equal(_all_sources(g)[0], ref), g.name
+    assert np.array_equal(np.array([_bfs_row(g, s)[0] for s in range(g.n)]), ref), g.name
     return ref
 
 
@@ -87,7 +93,7 @@ def test_one_and_two_vertices(n: int) -> None:
     g = path_graph(n)
     assert np.array_equal(apsp(g).dist, oracle_matrix(g))
     if n == 2:
-        assert np.array_equal(_all_sources(g), oracle_matrix(g))
+        assert np.array_equal(_all_sources(g)[0], oracle_matrix(g))
 
 
 def test_the_tiny_inputs_keep_the_per_source_kernel() -> None:
@@ -116,16 +122,44 @@ def test_disconnected_input_is_refused_before_either_kernel(g: Graph) -> None:
 
 def test_tiny_gather_and_unpack_tiles_change_nothing(monkeypatch) -> None:
     inputs = GNP[:4] + KINGS[:2] + [cycle_graph(30)]
-    untiled = [(_all_sources(g), scan_module._far_apart(g, apsp(g).dist)) for g in inputs]
+    untiled = [(_all_sources(g), apsp(g).far_apart_pairs()) for g in inputs]
     # chunks of 1, 3 and 8 adjacency rows: every vertex, then some, has its
-    # neighbours split over two chunks; the write-back goes a row at a time
+    # neighbours split over two chunks; the write-back goes a row at a time,
+    # and the far-apart pairs are read 64 rows at a time
     for cap in (1, 24, 64):
         monkeypatch.setattr(graphs, "_GATHER_BYTES", cap)
         monkeypatch.setattr(distances, "_UNPACK_BYTES", 1)
-        for g, (dist, far) in zip(inputs, untiled):
+        for g, ((dist, outward), pairs) in zip(inputs, untiled):
             g = Graph(g.n, g.edges())  # a fresh CSR
-            assert np.array_equal(_all_sources(g), dist), (cap, g.name)
-            assert np.array_equal(scan_module._far_apart(g, dist), far), (cap, g.name)
+            tiled = _all_sources(g)
+            assert np.array_equal(tiled[0], dist), (cap, g.name)
+            assert np.array_equal(tiled[1], outward), (cap, g.name)
+            far = np.nonzero(np.triu(fold_far_apart(g, dist), 1))
+            got = DistanceMatrix(*tiled).far_apart_pairs()
+            for want in (pairs, far):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want)), (cap, g.name)
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["all_sources", "per_source"])
+def test_far_apart_bits_of_both_kernels_match_the_oracle(
+    forced: bool, atlas_graphs, hull_corpus, monkeypatch
+) -> None:
+    # the all-sources kernel needs n >= 2; the per-source one also takes n = 1
+    monkeypatch.setattr(distances, "_all_sources_pays", lambda n, m, levels: forced)
+    inputs = (
+        atlas_graphs
+        + hull_corpus
+        + [king_grid(p, q) for p in range(1, 9) for q in range(p, 12)]
+        + [cycle_graph(n) for n in range(3, 70)]
+        + [path_graph(n) for n in range(2, 70)]
+    )
+    for g in inputs:
+        if forced and g.n < 2:
+            continue
+        u, v = apsp(g).far_apart_pairs()
+        assert u.dtype == v.dtype == np.int32
+        pairs = list(zip(u.tolist(), v.tolist()))
+        assert pairs == sorted(far_apart_pairs(g)), g.name
 
 
 def test_gather_peak_follows_its_cap(monkeypatch) -> None:
@@ -138,7 +172,7 @@ def test_gather_peak_follows_its_cap(monkeypatch) -> None:
     _all_sources(g)  # builds the CSR arrays outside the measurement
     tracemalloc.start()
     try:
-        dist = _all_sources(g)
+        dist, _ = _all_sources(g)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -65,13 +65,32 @@ def traced_peak(g: Graph) -> tuple[int, int]:
     return value.doubled, peak
 
 
-def test_scan_peak_is_under_five_bytes_per_matrix_cell() -> None:
-    # The far-apart mask sets the peak, near 4.2 bytes per cell; a scan
-    # that keeps an int32 copy of the matrix peaks near 5.7.
+def test_scan_peak_is_under_2_5_bytes_per_matrix_cell() -> None:
+    # Reading the far-apart pairs from the packed BFS relation sets the
+    # peak, near 2.0 bytes per cell: one block of 1,600 rows unpacks its
+    # rows and its columns.  An n x n far-apart mask folded from the matrix
+    # peaked near 4.1, and a scan that keeps an int32 copy of the matrix
+    # peaks near 5.7.
     g = king_grid(40, 40)
     doubled, peak = traced_peak(g)
     assert doubled == 38
-    assert peak < 5 * g.n**2
+    assert peak < 2.5 * g.n**2
+
+
+def test_apsp_peak_is_under_four_bytes_per_matrix_cell() -> None:
+    # the int16 matrix and one 4 MB write-back block, near 3.8 bytes per
+    # cell; the far-apart relation packed in 64-bit words adds 0.125 of
+    # them, and kept as an n x n bool it would add 1
+    g = king_grid(40, 40)
+    apsp(g)  # builds the CSR arrays outside the measurement
+    tracemalloc.start()
+    try:
+        dm = apsp(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dm.outward.nbytes == g.n * 25 * 8
+    assert peak < 4 * g.n**2
 
 
 @pytest.mark.parametrize("g", [star_graph(2999), random_tree(3000, 1)], ids=["star", "tree"])
