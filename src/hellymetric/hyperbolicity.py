@@ -21,9 +21,9 @@ The scan runs in two passes over the far-apart pairs.  The value pass sweeps
 them in decreasing distance order and keeps only the running maximum gap:
 a pair at distance <= best cannot lie in a larger gap, so the sweep stops at
 the first chunk of 64 outer pairs whose first distance is <= best, and each
-chunk pairs only with the pairs above best.  The witness pass
-(B = the value found) keeps the pairs at distance >= B, in the (u, v)
-order in which they are read, and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
+chunk pairs only with the pairs above best.  The witness pass (B = the value
+found) keeps the pairs at distance >= B, in the (u, v) order in which they
+are read, and walks a = 0, 1, 2, ...: the pairs (a, v) are paired with the
 pairs whose first vertex is > a, and the walk stops at the first a with a
 gap of B, returning the lexicographically smallest sorted quadruple among
 that a's hits.  This is the lexicographically smallest sorted maximizer

@@ -125,7 +125,7 @@ def test_tiny_gather_and_unpack_tiles_change_nothing(monkeypatch) -> None:
     untiled = [(_all_sources(g), apsp(g).far_apart_pairs()) for g in inputs]
     # chunks of 1, 3 and 8 adjacency rows: every vertex, then some, has its
     # neighbours split over two chunks; the write-back goes a row at a time,
-    # and the far-apart pairs are read 64 rows at a time
+    # and the far-apart pairs are read 8 rows at a time
     for cap in (1, 24, 64):
         monkeypatch.setattr(graphs, "_GATHER_BYTES", cap)
         monkeypatch.setattr(distances, "_UNPACK_BYTES", 1)

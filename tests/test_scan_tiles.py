@@ -78,9 +78,10 @@ def test_scan_peak_is_under_2_5_bytes_per_matrix_cell() -> None:
 
 
 def test_apsp_peak_is_under_four_bytes_per_matrix_cell() -> None:
-    # the int16 matrix and one 4 MB write-back block, near 3.8 bytes per
-    # cell; the far-apart relation packed in 64-bit words adds 0.125 of
-    # them, and kept as an n x n bool it would add 1
+    # Near 3.8 bytes per cell: the int16 matrix (2), one write-back block
+    # that unpacks all 1,600 rows (1) and the kernel's n x 25-word arrays
+    # (0.125 each), one of them the packed far-apart relation.  Kept as an
+    # n x n bool, that relation would add 1.
     g = king_grid(40, 40)
     apsp(g)  # builds the CSR arrays outside the measurement
     tracemalloc.start()
