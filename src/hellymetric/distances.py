@@ -5,30 +5,22 @@ computed once per graph and carries one lazy cache, of power-adjacency
 bitmasks, each power packed from a block of rows at once.  Disk membership
 is read straight off the int16 rows where it is needed.
 
-``apsp`` has two kernels.  The all-sources kernel runs the BFS from every
-source at once: row v of an n x ceil(n/64) matrix of 64-bit words holds one
-bit per source whose frontier contains v, each level ORs the rows of v's
-neighbours over the graph's CSR adjacency (``Graph.reduce_neighbors``) and
-clears the sources that reached v earlier.  Since d(s, v) is the number of
-levels k >= 0 after which s has not reached v, every level but the last
-adds the unpacked bits of the unreached sources to the cells.  A level
-costs about n^2 cell additions plus 2m n/64 word ORs whatever the frontier
-size, so it loses on long diameters and on tiny graphs, where the
-per-source bitset BFS (about n^2 interpreter steps in all) stays.  One BFS
-from vertex 0 gives ecc(0), the number of levels is at most
-diam + 1 <= 2 ecc(0) + 1, and ``_all_sources_pays`` compares the two costs
-from n, m and that bound.  Its ``_UNPACK_NS`` was fitted to an earlier
-write-back that ``np.putmask``-ed the depth into the frontier's cells, which
-cost more per cell; it is deliberately left stale, so that every input
-keeps the kernel it had until the cost model is refitted.
-The all-sources temporaries are capped: the neighbour rows are gathered at
-most 4 MB at a time, and the bits are unpacked into the matrix at most 4 MB
-of cells at a time.
+``apsp`` runs the BFS from every source at once: row v of an
+n x ceil(n/64) matrix of 64-bit words holds one bit per source whose
+frontier contains v, and each level ORs the rows of v's neighbours over
+the graph's CSR adjacency (``Graph.reduce_neighbors``) and clears the
+sources that reached v earlier.  A sparse level, one with few set words,
+stores its depth in their cells alone, so a long path or cycle pays about
+2n cells a level, not n^2.  A dense level adds the lag since the last
+dense level to the cells of every unreached source, so all of those keep
+one value and the two kinds of level may come in any order.  The
+neighbour rows are gathered, and the bits unpacked into the matrix, at
+most 4 MB at a time.
 
-Both kernels also record, per source s, the vertices of each level k that
-are adjacent to level k + 1, one AND of the level before the frontier with
-the frontier's neighbours; the far-apart pairs of the hyperbolicity scan
-are read from that relation (``DistanceMatrix.far_apart_pairs``).
+Each level also records, per source s, the vertices of level k that are
+adjacent to level k + 1, one AND of the level before the frontier with the
+frontier's neighbours; the far-apart pairs of the hyperbolicity scan are
+read from that relation (``DistanceMatrix.far_apart_pairs``).
 """
 from __future__ import annotations
 
@@ -44,26 +36,21 @@ from .graphs import (
     induced_subgraph,
 )
 
-# cost model of _all_sources_pays, in nanoseconds, fitted to both kernels'
-# timings on 118 graphs (n 4..800) on an x86-64 VM
-_PER_CELL_NS = 290
-_LEVEL_NS = 10_000
-_GATHER_NS = 7
-_UNPACK_NS = 0.75
 # cap on one block of an n x n bit temporary (an _all_sources write-back,
 # a power, the far-apart read), in bytes
 _UNPACK_BYTES = 1 << 22
+# an _all_sources level is sparse when its frontier's set words, times 64
+# bits, number fewer than n^2 / _SPARSE
+_SPARSE = 8
 
 
 class DistanceMatrix:
     """Dense exact distances plus eccentricities, diameter, radius.
 
     ``outward`` packs, n x ceil(n/64) little-endian 64-bit words, the BFS
-    relation R[s, v]: v has a neighbour farther from s than v.  The
-    all-sources kernel packs it by v (row v, bit s), the per-source BFS by
-    s (row s, bit v); (u, v) is far-apart exactly when neither R[u, v] nor
-    R[v, u] holds, so ``far_apart_pairs`` reads the same pairs from either.
-    Immutable after construction.  It holds one cache, the power rows of
+    relation R[s, v] (v has a neighbour farther from s than v) in row v,
+    bit s; (u, v) is far-apart exactly when neither R[u, v] nor R[v, u]
+    holds.  Immutable after construction; one cache, the power rows of
     ``power_rows``.
     """
 
@@ -111,6 +98,7 @@ class DistanceMatrix:
         Read from ``outward`` a block of rows u at a time: the block's rows
         and, for the transposed half, its columns, both only at v >= the
         block's first row, each unpacked into at most _UNPACK_BYTES cells.
+        The cells with v <= u are cleared before the pairs are listed.
         """
         n = self.n
         bits = self.outward.view(np.uint8)
@@ -125,11 +113,11 @@ class DistanceMatrix:
                 bits[r0:, c0:(r1 + 7) // 8], axis=1, count=r1 - r0, bitorder="little"
             ).T
             near ^= 1
+            near[:, :r1 - r0][np.tri(r1 - r0, dtype=bool)] = 0
             u, v = np.nonzero(near)
-            keep = u < v
-            us.append(u[keep] + r0)
-            vs.append(v[keep] + r0)
-        return np.concatenate(us).astype(np.int32), np.concatenate(vs).astype(np.int32)
+            us.append(u.astype(np.int32) + r0)
+            vs.append(v.astype(np.int32) + r0)
+        return np.concatenate(us), np.concatenate(vs)
 
     def __repr__(self) -> str:
         return f"DistanceMatrix(n={self.n}, diam={self.diam}, rad={self.rad})"
@@ -140,10 +128,8 @@ def apsp(g: Graph) -> DistanceMatrix:
 
     Distances are stored as int16, so a graph whose diameter could exceed
     its maximum (n - 1 > 32,767) is refused before the n^2 cells are
-    allocated.  One BFS from vertex 0 checks connectivity and bounds the
-    number of levels by 2 ecc(0) + 1; ``_all_sources_pays`` then picks the
-    all-sources kernel or the per-source BFS (see the module docstring).
-    Either kernel also packs the relation ``DistanceMatrix.outward``.
+    allocated.  The BFS from every source (see the module docstring) also
+    packs the relation ``DistanceMatrix.outward``.
     """
     n = g.n
     if n - 1 > np.iinfo(np.int16).max:
@@ -151,70 +137,7 @@ def apsp(g: Graph) -> DistanceMatrix:
             f"graph has {n} vertices; the int16 distance matrix holds "
             f"at most {np.iinfo(np.int16).max + 1}"
         )
-    first, out = _bfs_row(g, 0)
-    if _all_sources_pays(n, g.m, 2 * max(first) + 1):
-        return DistanceMatrix(*_all_sources(g))
-    dist = np.empty((n, n), dtype=np.int16)
-    dist[0] = first
-    outward = [out]
-    for src in range(1, n):
-        dist[src], out = _bfs_row(g, src)
-        outward.append(out)
-    size = 8 * ((n + 63) // 64)
-    packed = b"".join(out.to_bytes(size, "little") for out in outward)
-    return DistanceMatrix(dist, np.frombuffer(packed, "<u8").reshape(n, -1))
-
-
-def _bfs_row(g: Graph, src: int) -> tuple[list[int], int]:
-    """Distances from ``src`` by a bitset BFS, one vertex at a time, and the
-    bitmask of the vertices with a neighbour farther from ``src``."""
-    n = g.n
-    adj = g.adj_bits
-    row = [0] * n
-    reached = 1 << src
-    frontier = reached
-    prev = outward = 0
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= adj[low.bit_length() - 1]
-            m ^= low
-        # the level before the frontier, where it touches the frontier
-        outward |= prev & nxt
-        prev = frontier
-        frontier = nxt & ~reached
-        reached |= frontier
-        m = frontier
-        while m:
-            low = m & -m
-            row[low.bit_length() - 1] = depth
-            m ^= low
-    if reached != (1 << n) - 1:
-        raise DisconnectedGraphError(
-            f"vertex {src} cannot reach every vertex; graph is disconnected"
-        )
-    return row, outward
-
-
-def _all_sources_pays(n: int, m: int, levels: int) -> bool:
-    """Is the all-sources kernel cheaper than n per-source BFS runs?
-
-    Estimated in nanoseconds: the per-source BFS spends PER_CELL + n/2
-    on each of its n^2 cells (its bitmasks grow with n); an all-sources
-    level costs LEVEL plus GATHER per 64-bit word folded over the 2m
-    adjacencies plus UNPACK per cell written back, and there are at most
-    ``levels`` of them.
-    """
-    words = (n + 63) // 64
-    per_source = (_PER_CELL_NS + n / 2) * n * n
-    all_sources = levels * (
-        _LEVEL_NS + _GATHER_NS * 2 * m * words + _UNPACK_NS * n * n
-    )
-    return all_sources < per_source
+    return DistanceMatrix(*_all_sources(g))
 
 
 def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -225,10 +148,12 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     frontier holds v, and ``reached`` those that have reached v.  A level
     folds the frontier rows of v's neighbours (OR); the fold, ANDed with
     the previous frontier, marks the sources from which v has a farther
-    neighbour, and with the unreached sources it is the next frontier.
-    d(s, v) counts the levels k >= 0 after which s has not reached v, so
-    each level that is not the last adds its unreached bits to the cells.
-    The graph must be connected with n >= 2.
+    neighbour, and with the unreached sources it is the next frontier, at
+    ``depth``.  A sparse level stores ``depth`` in the frontier's cells
+    alone.  A dense level adds ``depth - filled`` to the cells of every
+    unreached source, ``filled`` being the value all of them hold, so that
+    they then hold ``depth``.  When the levels run out, a source missing
+    from row 0 of ``reached`` means the graph is disconnected.
     """
     n = g.n
     words = (n + 63) // 64
@@ -239,23 +164,68 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     prev = np.zeros_like(front)
     outward = np.zeros_like(front)
     dist = np.zeros((n, n), dtype=np.int16)
-    # rows of ``dist`` unpacked at once, so the n x n bit temporary is capped
-    rows = max(1, _UNPACK_BYTES // n)
-    while True:
+    depth = filled = 0
+    # the fold needs a neighbour for every vertex; with an isolated vertex no
+    # level runs, and row 0 of ``reached`` holds vertex 0 alone
+    levels = all(g.neighbors)
+    while levels:
         fold = g.reduce_neighbors(np.bitwise_or, front)
         prev &= fold
         outward |= prev
         unreached = ~reached
         fold &= unreached
-        if not fold.any():
-            return dist, outward
-        bits = unreached.view(np.uint8)
-        for r0 in range(0, n, rows):
-            dist[r0:r0 + rows] += np.unpackbits(
-                bits[r0:r0 + rows], axis=1, count=n, bitorder="little"
-            )
+        count = np.count_nonzero(fold)
+        if not count:
+            break
+        depth += 1
+        lag = depth - filled
+        # a sparse level leaves the lag one higher; kept under 256, it
+        # multiplies the unpacked uint8 bits in place
+        if lag < 255 and 64 * _SPARSE * count < n * n:
+            _store_depth(dist, fold, count, depth)
+        else:
+            _add_lag(dist, unreached, lag)
+            filled = depth
         reached |= fold
         prev, front = front, fold
+    if not np.unpackbits(reached[0].view(np.uint8), count=n, bitorder="little").all():
+        raise DisconnectedGraphError(
+            "vertex 0 cannot reach every vertex; graph is disconnected"
+        )
+    return dist, outward
+
+
+def _store_depth(dist: np.ndarray, fold: np.ndarray, count: int, depth: int) -> None:
+    """dist[v, s] = depth for every set bit s of row v of ``fold``, which has
+    ``count`` set words.  Each step unpacks a run of the set words, so that
+    its cell indices, 64 int64 per word, stay within _UNPACK_BYTES."""
+    n, words = fold.shape
+    # cell (v, s) of dist is cell 64 h + b - v pad of the flat matrix, for
+    # bit b of the flat word h = v words + s // 64
+    pad = 64 * words - n
+    cells = dist.reshape(-1)
+    flat = fold.reshape(-1)
+    hits = np.flatnonzero(flat)  # on a sparse level, under n^2 / 64 bytes
+    step = max(1, _UNPACK_BYTES // 512)
+    for h0 in range(0, count, step):
+        h = hits[h0:h0 + step]
+        b = np.flatnonzero(np.unpackbits(flat[h].view(np.uint8), bitorder="little"))
+        h = h[b >> 6]
+        cells[(h << 6) + (b & 63) - h // words * pad] = depth
+
+
+def _add_lag(dist: np.ndarray, unreached: np.ndarray, lag: int) -> None:
+    """dist[v, s] += lag (at most 255) for every set bit s of row v of
+    ``unreached``, unpacked into at most _UNPACK_BYTES cells at a time."""
+    n = dist.shape[0]
+    rows = max(1, _UNPACK_BYTES // n)
+    bits = unreached.view(np.uint8)
+    for r0 in range(0, n, rows):
+        lagged = np.unpackbits(bits[r0:r0 + rows], axis=1, count=n, bitorder="little")
+        if lag > 1:
+            lagged *= np.uint8(lag)
+        dist[r0:r0 + rows] += lagged
+        del lagged  # before the next block is unpacked
 
 
 def graph_power(g: Graph, k: int, *, dm: DistanceMatrix | None = None) -> Graph:

@@ -125,26 +125,54 @@ def is_block_graph(g: Graph) -> bool:
     give a cycle in the tree, and every block is a clique.  The pass stops
     once the sum passes n - 1.  Connectivity is needed: C4 plus three
     isolated vertices sums to 4 <= 6.
+
+    A vertex w whose closed neighbourhood is a seen K that is a clique has
+    K(wx) = N[w] for every edge wx, so its edges are skipped: a dense block
+    builds its K from one edge, not from each of its edges.
     """
     adj = g.adj_bits
     budget = g.n - 1
     seen: set[int] = set()
+    nbrs = g.neighbors
+    own = [0] * g.n  # N[w], once that is a seen K and a clique
     for u in range(g.n):
+        if own[u]:
+            continue
         row = adj[u]
-        for v in g.neighbors[u]:
-            if v < u:
+        for v in nbrs[u]:
+            if v < u or own[v]:
                 continue
             common = row & adj[v]
+            # |K(uv)| - 1; K(uv) = {u, v} belongs to this edge alone
+            size = common.bit_count() + 1
             if common:
                 k = common | 1 << u | 1 << v
                 if k in seen:
                     continue
                 seen.add(k)
-            # |K(uv)| - 1; K(uv) = {u, v} belongs to this edge alone
-            budget -= common.bit_count() + 1
+                if size == len(nbrs[u]) or size == len(nbrs[v]):  # K = N[u] or N[v]
+                    _own_clique(adj, k, own)
+            budget -= size
             if budget < 0:
                 return False
     return True
+
+
+def _own_clique(adj: tuple[int, ...], k: int, own: list[int]) -> None:
+    """own[w] = k for each w in k with N[w] = k, if k is a clique."""
+    simplicial = []
+    m = k
+    while m:
+        low = m & -m
+        w = low.bit_length() - 1
+        closed = adj[w] | low
+        if closed & k != k:
+            return
+        if closed == k:
+            simplicial.append(w)
+        m ^= low
+    for w in simplicial:
+        own[w] = k
 
 
 def _gaps(

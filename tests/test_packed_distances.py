@@ -1,16 +1,19 @@
 """The packed distance layer against loop oracles and networkx.
 
-``apsp`` runs one of two kernels, chosen by ``_all_sources_pays``: a BFS
-from every source at once on packed 64-bit frontier rows, or one bitset
-BFS per source.  Each input here is checked under both kernels, and the
-test pins which one ``apsp`` picks.  The far-apart pairs that either kernel's
-BFS levels mark are checked against the pure-Python oracle.  The power
-bitmasks, and the disk and band bitmasks the quadruple scanner cuts from
-them, are checked against a plain loop over the vertices.
+``apsp`` runs one kernel, a BFS from every source at once on packed 64-bit
+frontier rows; a level with few set frontier words writes back only their
+cells, any other level every unreached cell.  Its matrices are checked
+against the pure-Python BFS and networkx on inputs of short and of long
+diameter, and on inputs whose levels switch between the two write-backs.
+The far-apart pairs that its BFS levels mark are checked against the
+pure-Python oracle.  The power bitmasks, and the disk and band bitmasks the
+quadruple scanner cuts from them, are checked against a plain loop over the
+vertices.
 """
 from __future__ import annotations
 
 import importlib
+import re
 import tracemalloc
 
 import networkx as nx
@@ -28,7 +31,7 @@ from hellymetric import (
     random_connected_graph,
 )
 from hellymetric.detect import _band_rows
-from hellymetric.distances import _all_sources, _all_sources_pays, _bfs_row
+from hellymetric.distances import _SPARSE, _all_sources
 from hellymetric.graphs import DisconnectedGraphError
 from hellymetric.report import build_analysis, verify_claims
 
@@ -63,73 +66,100 @@ def networkx_matrix(g: Graph) -> np.ndarray:
     return out
 
 
-def picks_all_sources(g: Graph, ref: np.ndarray) -> bool:
-    return _all_sources_pays(g.n, g.m, 2 * int(ref[0].max()) + 1)
+def level_kinds(dist: np.ndarray) -> str:
+    """Per BFS level from depth 1, 's' when its frontier's set words make it
+    sparse by the word count alone, else 'D'."""
+    n = dist.shape[0]
+    words = (n + 63) // 64
+    v, s = np.indices(dist.shape)
+    # one key per distinct (depth, row, word) of the frontier words
+    keys = np.unique((dist.astype(np.int64) * n + v) * words + s // 64)
+    counts = np.bincount(keys // (n * words))[1:]
+    return "".join("s" if 64 * _SPARSE * c < n * n else "D" for c in counts)
 
 
-def assert_both_kernels(g: Graph) -> np.ndarray:
+def assert_matches_oracles(g: Graph) -> None:
     ref = oracle_matrix(g)
     assert np.array_equal(ref, networkx_matrix(g)), g.name
     assert np.array_equal(apsp(g).dist, ref), g.name
-    assert np.array_equal(_all_sources(g)[0], ref), g.name
-    assert np.array_equal(np.array([_bfs_row(g, s)[0] for s in range(g.n)]), ref), g.name
-    return ref
 
 
 @pytest.mark.parametrize("g", GNP + KINGS, ids=lambda g: g.name)
 def test_all_sources_kernel_on_short_diameters(g: Graph) -> None:
-    ref = assert_both_kernels(g)
-    assert picks_all_sources(g, ref)
+    assert_matches_oracles(g)
 
 
 @pytest.mark.parametrize("g", LONG, ids=lambda g: g.name)
-def test_per_source_kernel_on_long_paths_and_cycles(g: Graph) -> None:
-    ref = assert_both_kernels(g)
-    assert not picks_all_sources(g, ref)
+def test_all_sources_kernel_on_long_paths_and_cycles(g: Graph) -> None:
+    assert_matches_oracles(g)
+
+
+def clique_with_tail(k: int, t: int) -> Graph:
+    """K_k with a path of t more vertices hung off its last vertex."""
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    return Graph(k + t, edges + [(v, v + 1) for v in range(k - 1, k + t - 1)], name=f"K{k}+P{t}")
+
+
+def test_levels_switch_from_sparse_to_dense_and_back() -> None:
+    # the first dense level after a run of sparse ones adds a lag above 1
+    # to every unreached cell, and the sparse levels after it store depths
+    # above the value the dense level left there
+    g = clique_with_tail(20, 580)
+    kinds = level_kinds(oracle_matrix(g))
+    assert re.fullmatch("s+D+s+", kinds), kinds
+    assert_matches_oracles(g)
+    u, v = apsp(g).far_apart_pairs()
+    assert list(zip(u.tolist(), v.tolist())) == sorted(far_apart_pairs(g))
+
+
+def test_a_long_run_of_sparse_levels_is_cut_by_a_dense_one() -> None:
+    # every level of P1100 is sparse by its word count, so the lag would
+    # pass 255; the kernel takes a dense level whenever it reaches 255
+    g = path_graph(1100)
+    v = np.arange(g.n)
+    want = np.abs(v[:, None] - v[None, :])
+    assert set(level_kinds(want)) == {"s"}
+    assert np.array_equal(apsp(g).dist, want)
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_one_and_two_vertices(n: int) -> None:
     g = path_graph(n)
     assert np.array_equal(apsp(g).dist, oracle_matrix(g))
-    if n == 2:
-        assert np.array_equal(_all_sources(g)[0], oracle_matrix(g))
-
-
-def test_the_tiny_inputs_keep_the_per_source_kernel() -> None:
-    # G(n, 0.3) with n 9..12 has few levels, but the all-sources kernel's
-    # fixed cost per level outweighs its n^2 cells
-    for seed in range(40):
-        g = random_connected_graph(9 + seed % 4, 0.3, seed)
-        assert not picks_all_sources(g, oracle_matrix(g)), g.name
 
 
 @pytest.mark.parametrize(
     "g",
     [
-        # shaped like inputs of each kernel, plus a second component
+        # a second component beside a grid, a G(n, p) and a path, and an
+        # isolated vertex 0, which stops the kernel before its first level
         Graph(66, king_grid(8, 8).edges() + [(64, 65)]),
         Graph(101, random_connected_graph(100, 0.05, 3).edges()),
         Graph(203, path_graph(200).edges() + [(200, 201), (201, 202)]),
         Graph(5, [(1, 2), (2, 3), (3, 4)]),
     ],
 )
-def test_disconnected_input_is_refused_before_either_kernel(g: Graph) -> None:
-    # the BFS from vertex 0 that sizes the dispatch also checks connectivity
+def test_disconnected_input_is_refused_by_the_kernel(g: Graph) -> None:
+    # a source missing from vertex 0's row of reached after the last level
     with pytest.raises(DisconnectedGraphError, match="vertex 0 cannot reach"):
         apsp(g)
 
 
 def test_tiny_gather_and_unpack_tiles_change_nothing(monkeypatch) -> None:
-    inputs = GNP[:4] + KINGS[:2] + [cycle_graph(30)]
-    untiled = [(_all_sources(g), apsp(g).far_apart_pairs()) for g in inputs]
+    short = GNP[:4] + KINGS[:2] + [cycle_graph(30)]
+    long = [path_graph(200), cycle_graph(640)]
+    untiled = {g.name: (_all_sources(g), apsp(g).far_apart_pairs()) for g in short + long}
     # chunks of 1, 3 and 8 adjacency rows: every vertex, then some, has its
-    # neighbours split over two chunks; the write-back goes a row at a time,
-    # and the far-apart pairs are read 8 rows at a time
-    for cap in (1, 24, 64):
+    # neighbours split over two chunks; a dense write-back goes a row at a
+    # time and a sparse one a frontier word at a time (P200 ends and C640
+    # starts and ends with sparse levels), and the far-apart pairs are read
+    # 8 rows at a time.  The long inputs keep the whole gather, which one
+    # row at a time over their 200 and 320 levels would take seconds.
+    monkeypatch.setattr(distances, "_UNPACK_BYTES", 1)
+    for cap, inputs in ((1, short), (24, short), (64, short), (graphs._GATHER_BYTES, long)):
         monkeypatch.setattr(graphs, "_GATHER_BYTES", cap)
-        monkeypatch.setattr(distances, "_UNPACK_BYTES", 1)
-        for g, ((dist, outward), pairs) in zip(inputs, untiled):
+        for g in inputs:
+            (dist, outward), pairs = untiled[g.name]
             g = Graph(g.n, g.edges())  # a fresh CSR
             tiled = _all_sources(g)
             assert np.array_equal(tiled[0], dist), (cap, g.name)
@@ -140,22 +170,15 @@ def test_tiny_gather_and_unpack_tiles_change_nothing(monkeypatch) -> None:
                 assert all(np.array_equal(a, b) for a, b in zip(got, want)), (cap, g.name)
 
 
-@pytest.mark.parametrize("forced", [True, False], ids=["all_sources", "per_source"])
-def test_far_apart_bits_of_both_kernels_match_the_oracle(
-    forced: bool, atlas_graphs, hull_corpus, monkeypatch
-) -> None:
-    # the all-sources kernel needs n >= 2; the per-source one also takes n = 1
-    monkeypatch.setattr(distances, "_all_sources_pays", lambda n, m, levels: forced)
+def test_far_apart_bits_match_the_oracle(atlas_graphs, hull_corpus) -> None:
     inputs = (
         atlas_graphs
         + hull_corpus
         + [king_grid(p, q) for p in range(1, 9) for q in range(p, 12)]
         + [cycle_graph(n) for n in range(3, 70)]
-        + [path_graph(n) for n in range(2, 70)]
+        + [path_graph(n) for n in range(1, 70)]
     )
     for g in inputs:
-        if forced and g.n < 2:
-            continue
         u, v = apsp(g).far_apart_pairs()
         assert u.dtype == v.dtype == np.int32
         pairs = list(zip(u.tolist(), v.tolist()))

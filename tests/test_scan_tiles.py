@@ -3,17 +3,28 @@
 Both passes of the scan, the value pass and the witness pass, tile their
 columns by ``_TILE`` and gather only the rows of their current chunk, so
 no n x n copy of the distance matrix is made.  Block graphs stop before any
-n x n array is built.
+n x n array is built.  The distance kernel and the far-apart pair read that
+feed the scan have their own peaks pinned here, per matrix cell and in
+MiB.
 """
 from __future__ import annotations
 
 import importlib
+import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from hellymetric import Graph, apsp, hyperbolicity, king_grid, random_connected_graph
+from hellymetric import (
+    Graph,
+    apsp,
+    cycle_graph,
+    hyperbolicity,
+    king_grid,
+    random_connected_graph,
+)
 
 from oracles import random_tree, star_graph
 
@@ -78,20 +89,40 @@ def test_scan_peak_is_under_2_5_bytes_per_matrix_cell() -> None:
 
 
 def test_apsp_peak_is_under_four_bytes_per_matrix_cell() -> None:
-    # Near 3.8 bytes per cell: the int16 matrix (2), one write-back block
-    # that unpacks all 1,600 rows (1) and the kernel's n x 25-word arrays
-    # (0.125 each), one of them the packed far-apart relation.  Kept as an
-    # n x n bool, that relation would add 1.
-    g = king_grid(40, 40)
-    apsp(g)  # builds the CSR arrays outside the measurement
+    # Near 3.8 bytes per cell on king 40x40: the int16 matrix (2), one
+    # dense write-back block that unpacks all 1,600 rows (1) and the
+    # kernel's n x 25-word arrays (0.125 each), one of them the packed
+    # far-apart relation.  Kept as an n x n bool, that relation would add 1.
+    # C1500 takes sparse levels but for one dense level in 255; its word
+    # arrays are 0.128 bytes per cell each, and the cell indices of a sparse
+    # level stay within _UNPACK_BYTES.
+    for g in (king_grid(40, 40), cycle_graph(1500)):
+        apsp(g)  # builds the CSR arrays outside the measurement
+        tracemalloc.start()
+        try:
+            dm = apsp(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dm.outward.nbytes == g.n * ((g.n + 63) // 64) * 8
+        assert peak < 4 * g.n**2, g.name
+
+
+def test_far_apart_read_lists_one_triangle() -> None:
+    # G(1000, (ln n + 3)/n) has 163,916 far-apart pairs, all read in one
+    # block of 1,000 rows.  Clearing the cells with v <= u before
+    # np.nonzero peaks near 6.0 MiB; listing both triangles and dropping
+    # u >= v afterwards peaked near 11.3 MiB.
+    g = random_connected_graph(1000, (math.log(1000) + 3) / 1000, 1)
+    dm = apsp(g)
     tracemalloc.start()
     try:
-        dm = apsp(g)
+        u, v = dm.far_apart_pairs()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dm.outward.nbytes == g.n * 25 * 8
-    assert peak < 4 * g.n**2
+    assert len(u) == 163_916 and u.dtype == v.dtype == np.int32
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("g", [star_graph(2999), random_tree(3000, 1)], ids=["star", "tree"])
