@@ -39,8 +39,8 @@ from .graphs import (
 # cap on one block of an n x n bit temporary (an _all_sources write-back,
 # a power, the far-apart read), in bytes
 _UNPACK_BYTES = 1 << 22
-# an _all_sources level is sparse when its frontier's set words, times 64
-# bits, number fewer than n^2 / _SPARSE
+# an _all_sources level is sparse, and writes back only its frontier's set
+# words, when 64 times their number is below n^2 / _SPARSE
 _SPARSE = 8
 
 
@@ -145,34 +145,33 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     packed relation ``outward`` by v.
 
     Row v of ``front`` packs, one bit per source, the sources whose BFS
-    frontier holds v, and ``reached`` those that have reached v.  A level
-    folds the frontier rows of v's neighbours (OR); the fold, ANDed with
-    the previous frontier, marks the sources from which v has a farther
-    neighbour, and with the unreached sources it is the next frontier, at
-    ``depth``.  A sparse level stores ``depth`` in the frontier's cells
-    alone.  A dense level adds ``depth - filled`` to the cells of every
-    unreached source, ``filled`` being the value all of them hold, so that
-    they then hold ``depth``.  When the levels run out, a source missing
-    from row 0 of ``reached`` means the graph is disconnected.
+    frontier holds v, and ``unreached`` those that have not reached v.  A
+    level folds the frontier rows of v's neighbours (OR); the fold, ANDed
+    with the previous frontier, marks the sources from which v has a
+    farther neighbour, and with the unreached sources it is the next
+    frontier, at ``depth``.  A sparse level stores ``depth`` in the
+    frontier's cells alone.  A dense level adds ``depth - filled`` to the
+    cells of every unreached source, ``filled`` being the value all of them
+    hold, so that they then hold ``depth``.  When the levels run out, a
+    source left in row 0 of ``unreached`` means the graph is disconnected.
     """
     n = g.n
     words = (n + 63) // 64
     v = np.arange(n)
     front = np.zeros((n, words), "<u8")
     front[v, v >> 6] = np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-    reached = front.copy()
+    unreached = ~front
     prev = np.zeros_like(front)
     outward = np.zeros_like(front)
     dist = np.zeros((n, n), dtype=np.int16)
     depth = filled = 0
     # the fold needs a neighbour for every vertex; with an isolated vertex no
-    # level runs, and row 0 of ``reached`` holds vertex 0 alone
+    # level runs, and row 0 of ``unreached`` keeps every source but 0
     levels = all(g.neighbors)
     while levels:
         fold = g.reduce_neighbors(np.bitwise_or, front)
         prev &= fold
         outward |= prev
-        unreached = ~reached
         fold &= unreached
         count = np.count_nonzero(fold)
         if not count:
@@ -186,9 +185,9 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         else:
             _add_lag(dist, unreached, lag)
             filled = depth
-        reached |= fold
+        unreached ^= fold
         prev, front = front, fold
-    if not np.unpackbits(reached[0].view(np.uint8), count=n, bitorder="little").all():
+    if np.unpackbits(unreached[0].view(np.uint8), count=n, bitorder="little").any():
         raise DisconnectedGraphError(
             "vertex 0 cannot reach every vertex; graph is disconnected"
         )

@@ -112,14 +112,23 @@ def test_levels_switch_from_sparse_to_dense_and_back() -> None:
     assert list(zip(u.tolist(), v.tolist())) == sorted(far_apart_pairs(g))
 
 
+def double_broom(leaves: int, length: int) -> Graph:
+    """A path 0..length with ``leaves`` leaves on each end vertex."""
+    path = [(v, v + 1) for v in range(length)]
+    a = [(0, length + 1 + i) for i in range(leaves)]
+    b = [(length, length + 1 + leaves + i) for i in range(leaves)]
+    return Graph(length + 1 + 2 * leaves, path + a + b, name=f"broom({leaves},{length})")
+
+
 def test_a_long_run_of_sparse_levels_is_cut_by_a_dense_one() -> None:
-    # every level of P1100 is sparse by its word count, so the lag would
-    # pass 255; the kernel takes a dense level whenever it reaches 255
-    g = path_graph(1100)
-    v = np.arange(g.n)
-    want = np.abs(v[:, None] - v[None, :])
-    assert set(level_kinds(want)) == {"s"}
-    assert np.array_equal(apsp(g).dist, want)
+    # 269 sparse levels run from depth 3 to the leaf-to-leaf pairs at depth
+    # 272, whose level is dense; a lag above 255 would overflow the uint8
+    # bits it multiplies, so the kernel takes a dense level at lag 255
+    g = double_broom(300, 270)
+    ref = oracle_matrix(g)
+    kinds = level_kinds(ref)
+    assert re.fullmatch("sDs{269}D", kinds), kinds
+    assert np.array_equal(apsp(g).dist, ref)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -140,7 +149,7 @@ def test_one_and_two_vertices(n: int) -> None:
     ],
 )
 def test_disconnected_input_is_refused_by_the_kernel(g: Graph) -> None:
-    # a source missing from vertex 0's row of reached after the last level
+    # a source left in vertex 0's row of unreached after the last level
     with pytest.raises(DisconnectedGraphError, match="vertex 0 cannot reach"):
         apsp(g)
 

@@ -89,13 +89,13 @@ def test_scan_peak_is_under_2_5_bytes_per_matrix_cell() -> None:
 
 
 def test_apsp_peak_is_under_four_bytes_per_matrix_cell() -> None:
-    # Near 3.8 bytes per cell on king 40x40: the int16 matrix (2), one
+    # Near 3.6 bytes per cell on king 40x40: the int16 matrix (2), one
     # dense write-back block that unpacks all 1,600 rows (1) and the
     # kernel's n x 25-word arrays (0.125 each), one of them the packed
     # far-apart relation.  Kept as an n x n bool, that relation would add 1.
-    # C1500 takes sparse levels but for one dense level in 255; its word
-    # arrays are 0.128 bytes per cell each, and the cell indices of a sparse
-    # level stay within _UNPACK_BYTES.
+    # C1500, near 3.7, takes sparse levels but for one dense level in 255;
+    # its word arrays are 0.128 bytes per cell each, and the cell indices
+    # of a sparse level stay within _UNPACK_BYTES.
     for g in (king_grid(40, 40), cycle_graph(1500)):
         apsp(g)  # builds the CSR arrays outside the measurement
         tracemalloc.start()
