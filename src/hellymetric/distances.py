@@ -181,7 +181,7 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
         # a sparse level leaves the lag one higher; kept under 256, it
         # multiplies the unpacked uint8 bits in place
         if lag < 255 and 64 * _SPARSE * count < n * n:
-            _store_depth(dist, fold, count, depth)
+            _store_depth(dist, fold, depth)
         else:
             _add_lag(dist, unreached, lag)
             filled = depth
@@ -194,10 +194,10 @@ def _all_sources(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return dist, outward
 
 
-def _store_depth(dist: np.ndarray, fold: np.ndarray, count: int, depth: int) -> None:
-    """dist[v, s] = depth for every set bit s of row v of ``fold``, which has
-    ``count`` set words.  Each step unpacks a run of the set words, so that
-    its cell indices, 64 int64 per word, stay within _UNPACK_BYTES."""
+def _store_depth(dist: np.ndarray, fold: np.ndarray, depth: int) -> None:
+    """dist[v, s] = depth for every set bit s of row v of ``fold``.  Each
+    step unpacks a run of its set words, so that the step's cell indices,
+    64 int64 per word, stay within _UNPACK_BYTES."""
     n, words = fold.shape
     # cell (v, s) of dist is cell 64 h + b - v pad of the flat matrix, for
     # bit b of the flat word h = v words + s // 64
@@ -206,7 +206,7 @@ def _store_depth(dist: np.ndarray, fold: np.ndarray, count: int, depth: int) -> 
     flat = fold.reshape(-1)
     hits = np.flatnonzero(flat)  # on a sparse level, under n^2 / 64 bytes
     step = max(1, _UNPACK_BYTES // 512)
-    for h0 in range(0, count, step):
+    for h0 in range(0, len(hits), step):
         h = hits[h0:h0 + step]
         b = np.flatnonzero(np.unpackbits(flat[h].view(np.uint8), bitorder="little"))
         h = h[b >> 6]
