@@ -10,8 +10,8 @@ n x ceil(n/64) matrix of 64-bit words holds one bit per source whose
 frontier contains v, and each level ORs the rows of v's neighbours over
 the graph's CSR adjacency (``Graph.reduce_neighbors``) and clears the
 sources that reached v earlier.  A sparse level, one with few set words,
-stores its depth in their cells alone, so a long path or cycle pays about
-2n cells a level, not n^2.  A dense level adds the lag since the last
+stores its depth in their cells alone, so a long path or cycle writes back
+about 2n cells a level, not n^2.  A dense level adds the lag since the last
 dense level to the cells of every unreached source, so all of those keep
 one value and the two kinds of level may come in any order.  The
 neighbour rows are gathered, and the bits unpacked into the matrix, at
