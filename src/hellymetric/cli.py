@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .detect import (
+    Analysis,
     InternalInconsistencyError,
     MaterializeError,
     NotHellyError,
@@ -31,7 +32,7 @@ from .detect import (
     detect_H1_or_H3,
     detect_H2,
 )
-from .distances import apsp, graph_power
+from .distances import graph_power
 from .families import build_obstruction
 from .graphs import (
     Graph,
@@ -42,7 +43,7 @@ from .graphs import (
     random_connected_graph,
     to_edge_list,
 )
-from .helly import MedianSearchError, is_helly
+from .helly import MedianSearchError
 from .hull import HullBudgetError, hull, resolve_budget
 from .report import (
     build_analysis,
@@ -242,9 +243,8 @@ def _print_witness(w: ObstructionWitness, materialize_out: bool) -> None:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    g = _read_graph(args.path)
-    dm = apsp(g)
-    helly = bool(is_helly(g, dm=dm))
+    a = Analysis(_read_graph(args.path))
+    helly = bool(a.helly)
 
     witness: ObstructionWitness | None = None
     note: str | None = None
@@ -254,7 +254,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             "but absence certifies nothing\n"
         )
     try:
-        witness = _DETECTORS[args.family](g, args.k, dm=dm)
+        witness = _DETECTORS[args.family](a.g, args.k, dm=a.dm)
     except (MaterializeError, MedianSearchError) as exc:
         if helly:
             raise
@@ -294,9 +294,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_hull(args: argparse.Namespace) -> int:
     budget = resolve_budget()
     g = _read_graph(args.path)
-    dm = apsp(g)
     try:
-        res = hull(g, dm=dm, budget=budget)
+        res = hull(g, budget=budget)
     except HullBudgetError as exc:
         sys.stderr.write(f"hull enumeration refused: {exc}\n")
         return 4

@@ -27,13 +27,9 @@ family is known only after resolution, calls ``resolve_window_quadruple``
 directly.  Every case of both places one frame copy on four anchors and
 cuts the witness window from it (``_window_copy``).
 
-Every probe, the sun-tip test, the power route and both 4-cycle tests run
-one quadruple-pattern scanner, ``_scan_quadruples``.  It reads each distance
-band as one Python-int bit row per vertex, cut from two cached power rows of
-``DistanceMatrix.power_rows``, and walks partners z of x and then pairs
-y < t of their common side band by their lowest set bits, so its first
-quadruple is that of the pair loop in the test oracle
-``pair_loop_scan_quadruples``.
+Every probe, the sun-tip test, the power route and both 4-cycle tests are
+calls of the one quadruple-pattern scanner, ``DistanceMatrix.first_quadruple``,
+which the Helly test's 4-cycle condition (d) shares.
 """
 from __future__ import annotations
 
@@ -287,54 +283,6 @@ def _fits_window(
 # Pattern scans
 # ---------------------------------------------------------------------------
 
-def _band_rows(dm: DistanceMatrix, lo: int, hi: int) -> list[int]:
-    """Per-vertex bitmasks of the vertices at distance lo..hi, inclusive."""
-    near = dm.power_rows(hi)
-    if lo <= 0:
-        return [row | (1 << v) for v, row in enumerate(near)]
-    if lo == 1:  # the cached rows, only read; the empty power is never packed
-        return near
-    return [a & ~b for a, b in zip(near, dm.power_rows(lo - 1))]
-
-
-def _scan_quadruples(
-    dm: DistanceMatrix,
-    outer: tuple[int, int],
-    side: tuple[int, int],
-    inner: tuple[int, int],
-) -> tuple[int, int, int, int] | None:
-    """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four sides
-    in ``side`` and d(y,t) in ``inner``; each range is an inclusive (lo, hi).
-
-    Scans x ascending, then z > x ascending, then y ascending and t > y
-    ascending over the vertices whose distances to x and z both lie in
-    ``side``.  Each range is a bit row per vertex (``_band_rows``); the
-    partners z, the common side set and the t of each y are walked by their
-    lowest set bits, so no pair outside a band is ever visited.
-    """
-    if max(outer[0], side[0], inner[0]) > dm.diam:
-        return None
-    outer_rows = _band_rows(dm, *outer)
-    side_rows = _band_rows(dm, *side)
-    inner_rows = _band_rows(dm, *inner)
-    for x in range(dm.n):
-        sx = side_rows[x]
-        zs = outer_rows[x] >> (x + 1) << (x + 1)
-        while zs:
-            low = zs & -zs
-            zs ^= low
-            z = low.bit_length() - 1
-            m = sx & side_rows[z]
-            while m:
-                low = m & -m
-                m ^= low
-                y = low.bit_length() - 1
-                ts = m & inner_rows[y]
-                if ts:
-                    return x, y, z, (ts & -ts).bit_length() - 1
-    return None
-
-
 def detect_H1(
     g: Graph, k: int, *, dm: DistanceMatrix | None = None
 ) -> ObstructionWitness | None:
@@ -351,7 +299,7 @@ def detect_H1(
 def _scan_h1_pattern(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
     """First quadruple (x,y,z,t) with sides k+1 and diagonals 2k+2."""
     diag = 2 * k + 2
-    return _scan_quadruples(dm, (diag, diag), (k + 1, k + 1), (diag, diag))
+    return dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag, diag))
 
 
 def detect_H2(
@@ -368,7 +316,7 @@ def detect_H2(
         raise ValueError("probe parameter must be >= 0")
     dm = dm or apsp(g)
     diag = 2 * k + 2
-    quad = _scan_quadruples(dm, (diag, diag), (k + 1, k + 1), (diag - 1, diag))
+    quad = dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag - 1, diag))
     if quad is None:
         return None
     return _certify(g, dm, "H2", k, k, quad)
@@ -390,7 +338,7 @@ def detect_H1_or_H3(
     if found is not None:
         return _certify(g, dm, "H1", k + 1, k + 1, found)
     lo = 2 * k + 3
-    quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
+    quad = dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
     if quad is None:
         return None
     return resolve_window_quadruple(g, k, quad, dm=dm)
@@ -656,7 +604,7 @@ def _has_sun_tip_pattern(dm: DistanceMatrix) -> bool:
     On a Helly graph this pattern is equivalent to an isometric complete
     4-sun (it is the H3(0,0) detection pattern, materializable on demand).
     """
-    return _scan_quadruples(dm, (3, 3), (2, 2), (3, 3)) is not None
+    return dm.first_quadruple((3, 3), (2, 2), (3, 3)) is not None
 
 
 def half_hyperbolic_equivalents(a: Analysis) -> dict[str, bool]:
@@ -694,7 +642,7 @@ def power_characterization(a: Analysis, threshold: HalfInt | int) -> bool:
 
     A labeled 4-cycle lives in every power G^l for l in [A, B] iff its
     sides are edges of G^A and its diagonals are non-edges of G^B, so each
-    window is one ``_scan_quadruples`` call with side band 1..A and both
+    window is one ``first_quadruple`` call with side band 1..A and both
     diagonal bands B+1..diam, cut from the power adjacency rows.  For a
     half threshold k + 1/2 the test is the absence of windows [k+1, 2k+1]
     and [k+2, 2k+2]; for an integer threshold k it is the absence of a
@@ -718,11 +666,10 @@ def power_characterization(a: Analysis, threshold: HalfInt | int) -> bool:
 def _power_window(dm: DistanceMatrix, a: int, b: int) -> bool:
     """Is there a labeled 4-cycle common to all powers G^l, a <= l <= b?"""
     far = (b + 1, dm.diam)
-    return _scan_quadruples(dm, far, (1, a), far) is not None
+    return dm.first_quadruple(far, (1, a), far) is not None
 
 
 def _power_split_diagonal(dm: DistanceMatrix, k: int) -> bool:
     """Sides within k+1, one diagonal exactly 2k+1, the other beyond it?"""
     diag = 2 * k + 1
-    quad = _scan_quadruples(dm, (diag, diag), (1, k + 1), (diag + 1, dm.diam))
-    return quad is not None
+    return dm.first_quadruple((diag, diag), (1, k + 1), (diag + 1, dm.diam)) is not None

@@ -2,8 +2,9 @@
 
 The distance matrix is the workhorse of every scan in the package; it is
 computed once per graph and carries one lazy cache, of power-adjacency
-bitmasks, each power packed from a block of rows at once.  Disk membership
-is read straight off the int16 rows where it is needed.
+bitmasks, each power packed from a block of rows at once, which only the
+package's one quadruple-pattern scanner (``DistanceMatrix.first_quadruple``)
+reads.  Disk membership is read straight off the int16 rows where needed.
 
 ``apsp`` runs the BFS from every source at once: row v of an
 n x ceil(n/64) matrix of 64-bit words holds one bit per source whose
@@ -24,7 +25,7 @@ read from that relation (``DistanceMatrix.far_apart_pairs``).
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class DistanceMatrix:
     relation R[s, v] (v has a neighbour farther from s than v) in row v,
     bit s; (u, v) is far-apart exactly when neither R[u, v] nor R[v, u]
     holds.  Immutable after construction; one cache, the power rows of
-    ``power_rows``.
+    ``power_rows``, which ``band_rows`` cuts into the scanner's bands.
     """
 
     __slots__ = ("n", "dist", "outward", "ecc", "diam", "rad", "_power_rows")
@@ -73,10 +74,9 @@ class DistanceMatrix:
 
         ell = 0 gives the empty graph, so the vertices at distance lo..hi
         from v are always ``power_rows(hi)[v] & ~power_rows(lo - 1)[v]`` (plus
-        v itself when lo = 0); the quadruple scanner of ``detect`` cuts its
-        distance bands this way.  Each power is packed once and cached:
-        ``dist <= ell`` a block of rows at a time, each block's bit temporary
-        capped at _UNPACK_BYTES.
+        v itself when lo = 0), as ``band_rows`` cuts them.  Each power is
+        packed once and cached: ``dist <= ell`` a block of rows at a time,
+        each block's bit temporary capped at _UNPACK_BYTES.
         """
         ell = max(0, min(int(ell), self.diam))
         rows = self._power_rows.get(ell)
@@ -91,6 +91,57 @@ class DistanceMatrix:
                 rows.extend(bit_rows(close))
             self._power_rows[ell] = rows
         return rows
+
+    def band_rows(self, lo: int, hi: int) -> list[int]:
+        """Per-vertex bitmasks of the vertices at distance lo..hi, inclusive."""
+        near = self.power_rows(hi)
+        if lo <= 0:
+            return [row | (1 << v) for v, row in enumerate(near)]
+        if lo == 1:  # the cached rows, only read; the empty power is never packed
+            return near
+        return [a & ~b for a, b in zip(near, self.power_rows(lo - 1))]
+
+    def first_quadruple(
+        self,
+        outer: tuple[int, int],
+        side: tuple[int, int],
+        inner: tuple[int, int],
+        accept: Callable[[int, int, int, int], bool] | None = None,
+    ) -> tuple[int, int, int, int] | None:
+        """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four
+        sides in ``side`` and d(y,t) in ``inner`` that ``accept``, if given,
+        accepts; each range is an inclusive (lo, hi).
+
+        Scans x ascending, then z > x, then y and t > y over the vertices
+        whose distances to x and z both lie in ``side``, each by the lowest
+        set bits of a band's rows (``band_rows``, one list per distinct
+        range), so no pair outside a band is visited.  ``accept(x, y, z, t)``
+        sees every fitting quadruple in that order; with no ``accept`` the
+        first one is returned uncalled.
+        """
+        if max(outer[0], side[0], inner[0]) > self.diam:
+            return None
+        bands = {rng: self.band_rows(*rng) for rng in {outer, side, inner}}
+        outer_rows, side_rows, inner_rows = bands[outer], bands[side], bands[inner]
+        for x in range(self.n):
+            sx = side_rows[x]
+            zs = outer_rows[x] >> (x + 1) << (x + 1)
+            while zs:
+                low = zs & -zs
+                zs ^= low
+                z = low.bit_length() - 1
+                m = sx & side_rows[z]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    y = low.bit_length() - 1
+                    ts = m & inner_rows[y]
+                    while ts:
+                        t = (ts & -ts).bit_length() - 1
+                        if accept is None or accept(x, y, z, t):
+                            return x, y, z, t
+                        ts &= ts - 1
+        return None
 
     def far_apart_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The far-apart pairs u < v as two int32 arrays, in (u, v) order.

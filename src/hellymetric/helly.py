@@ -49,11 +49,10 @@ interpreter steps few:
   block.  The first block holds as many v as fit ``_FIRST_CELLS`` padded
   cells at full width, so a graph of up to 25 vertices is one block, and
   the blocks double from there.
-* (c) and (d) walk Python-int bit rows with inline low-bit loops.  (c)
-  passes over a triangle at once when one of its own vertices is universal
-  for T* (three bit tests against the closed neighbourhoods); (d) takes the
-  vertices opposite a from the cached rows of the square,
-  ``DistanceMatrix.power_rows(2)``, packed a bounded block at a time.
+* (c) walks Python-int bit rows with inline low-bit loops and passes over
+  a triangle at once when one of its own vertices is universal for T*
+  (three bit tests against the closed neighbourhoods); (d) is one call of
+  the quadruple scanner ``DistanceMatrix.first_quadruple`` with a predicate.
 
 The loops these replaced are the test oracles
 ``vertex_loop_interval_violation``, ``list_walk_clique_helly_fails`` and
@@ -264,31 +263,19 @@ def _undominated_c4(
     """(d) The unit disks D(a,1), D(b,1), D(c,1), D(d,1) of the first induced
     4-cycle a-b-c-d with no vertex adjacent to all four, or None.
 
-    Each induced 4-cycle is met once: a is its least vertex, c the vertex
-    opposite a, and b < d.
+    A cycle is first reached at x = its least vertex, with z opposite x, so
+    the other diagonal's smaller end y is above x.  A later quadruple with
+    y < x belongs to a cycle whose least vertex is below x, met earlier and
+    dominated.  So the first quadruple the predicate accepts is the first
+    undominated cycle in (a, c, b, d) order, a least, c opposite a, b < d,
+    and it comes back as (a, b, c, d).
     """
     adj = g.adj_bits
-    for a, near in enumerate(dm.power_rows(2)):
-        cs = (near & ~adj[a]) >> (a + 1) << (a + 1)
-        while cs:
-            low = cs & -cs
-            c = low.bit_length() - 1
-            cs ^= low
-            common = adj[a] & adj[c]
-            bs = common >> (a + 1) << (a + 1)
-            while bs:
-                low = bs & -bs
-                b = low.bit_length() - 1
-                bs ^= low
-                dom = common & adj[b]
-                ds = (common & ~adj[b]) >> (b + 1) << (b + 1)
-                while ds:
-                    low = ds & -ds
-                    d = low.bit_length() - 1
-                    ds ^= low
-                    if not (dom & adj[d]):
-                        return tuple(DiskConstraint(x, 1) for x in (a, b, c, d))
-    return None
+    quad = dm.first_quadruple(
+        (2, 2), (1, 1), (2, 2),
+        lambda x, y, z, t: not (adj[x] & adj[y] & adj[z] & adj[t]),
+    )
+    return None if quad is None else tuple(DiskConstraint(v, 1) for v in quad)
 
 
 def _bit_ids(mask: int) -> list[int]:

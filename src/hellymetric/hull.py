@@ -17,7 +17,7 @@ partial functions that share a position, applying both prunes to a whole
 block per step; a block is halved before any of its temporaries would pass
 a fixed cell cap, so memory does not grow with the number of hull points.
 Its work follows the number of hull points, not the size of the candidate
-box.  The budget is unchanged: a pre-check refuses any graph whose
+box.  The budget caps that box: a pre-check refuses any graph whose
 worst-case box prod(ecc(v) + 1) exceeds it, before the search starts.
 """
 from __future__ import annotations

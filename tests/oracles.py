@@ -1104,13 +1104,16 @@ def pair_loop_scan_quadruples(
     outer: tuple[int, int],
     side: tuple[int, int],
     inner: tuple[int, int],
+    accept: Callable[[int, int, int, int], bool] | None = None,
 ) -> tuple[int, int, int, int] | None:
     """First quadruple (x, y, z, t) with d(x,z) in ``outer``, all four sides
-    in ``side`` and d(y,t) in ``inner``; each range is an inclusive (lo, hi).
+    in ``side`` and d(y,t) in ``inner`` that ``accept`` accepts; each range
+    is an inclusive (lo, hi).
 
-    Scans x ascending, then z > x ascending, then takes the first hit of the
+    Scans x ascending, then z > x ascending, then takes the hits of the
     upper triangle over the vertices whose distances to x and z both lie in
-    ``side``, so y < t.
+    ``side``, so y < t, in row-major order.  ``accept`` is called on each
+    hit in that order; without it the first hit is returned.
     """
     if outer[0] > dm.diam:
         return None
@@ -1127,9 +1130,10 @@ def pair_loop_scan_quadruples(
             if ids.size < 2:
                 continue
             hits = np.argwhere(np.triu(inner_ok[np.ix_(ids, ids)], k=1))
-            if hits.size:
-                r, c = int(hits[0][0]), int(hits[0][1])
-                return x, int(ids[r]), z, int(ids[c])
+            for r, c in hits.tolist():
+                quad = x, int(ids[r]), z, int(ids[c])
+                if accept is None or accept(*quad):
+                    return quad
     return None
 
 

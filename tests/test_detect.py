@@ -34,7 +34,7 @@ from hellymetric import (
     power_characterization,
     resolve_window_quadruple,
 )
-from hellymetric.detect import _realizes_corner_pattern, _scan_quadruples
+from hellymetric.detect import _realizes_corner_pattern
 from hellymetric.report import build_analysis
 
 
@@ -237,7 +237,7 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
             if w is not None:
                 assert materialize(g, w, dm=dm) == w.materialized, (g.name, k)
             lo = 2 * k + 3
-            quad = _scan_quadruples(dm, (lo, lo + 1), (0, k + 2), (lo, dm.diam))
+            quad = dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
             if quad is not None:
                 windows.append((g, dm, k, quad))
     for g, dm, k, quad in windows:

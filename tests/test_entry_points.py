@@ -88,3 +88,19 @@ def test_every_module_level_name_is_exported_or_used() -> None:
         if name not in hellymetric.__all__ and name not in loaded
     }
     assert not dead, dead
+
+
+def test_only_distances_reads_the_power_cache() -> None:
+    # the distance bands and the power cache they are cut from have one
+    # owner: no other module names DistanceMatrix.power_rows or its cache
+    cache = {"power_rows", "_power_rows"}
+    readers: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in cache
+                or isinstance(node, ast.Name) and node.id in cache
+            ):
+                readers.add(path.name)
+    assert readers == {"distances.py"}, readers

@@ -1,9 +1,10 @@
 """The batched Helly-side kernels against their loop oracles.
 
-``detect._scan_quadruples`` walks the bit rows of its distance bands,
-``helly._interval_violation`` tests conditions (a) and (b') a block of
-vertices at a time, and ``helly._clique_helly_fails`` and
-``helly._undominated_c4`` test (c) and (d) on inline bit walks.  Each must
+``DistanceMatrix.first_quadruple`` walks the bit rows of its distance
+bands, with or without a predicate, ``helly._interval_violation`` tests
+conditions (a) and (b') a block of vertices at a time,
+``helly._clique_helly_fails`` tests (c) on an inline bit walk and
+``helly._undominated_c4`` tests (d) with one scanner call.  Each must
 return exactly what the loops it replaced return
 (``pair_loop_scan_quadruples``, ``vertex_loop_interval_violation``,
 ``list_walk_clique_helly_fails`` and ``list_walk_undominated_c4`` in
@@ -14,6 +15,7 @@ from __future__ import annotations
 import importlib
 import math
 import tracemalloc
+from typing import Callable
 
 import pytest
 
@@ -31,7 +33,6 @@ from hellymetric.distances import DistanceMatrix
 from hellymetric.graphs import random_connected_graph
 
 helly = importlib.import_module("hellymetric.helly")
-detect = importlib.import_module("hellymetric.detect")
 
 
 def scan_parameters(dm: DistanceMatrix) -> list[tuple[tuple[int, int], ...]]:
@@ -97,8 +98,31 @@ def assert_scans_match(graphs: list[Graph]) -> None:
         dm = apsp(g)
         for outer, side, inner in scan_parameters(dm):
             want = pair_loop_scan_quadruples(dm, outer, side, inner)
-            got = detect._scan_quadruples(dm, outer, side, inner)
+            got = dm.first_quadruple(outer, side, inner)
             assert got == want, (g.name, outer, side, inner)
+
+
+def first_three_rejected() -> Callable[[int, int, int, int], bool]:
+    calls: list[tuple[int, ...]] = []
+
+    def accept(*quad: int) -> bool:
+        calls.append(quad)
+        return len(calls) > 3
+
+    return accept
+
+
+def even_sum(*quad: int) -> bool:
+    return sum(quad) % 2 == 0
+
+
+def assert_predicate_scans_match(graphs: list[Graph]) -> None:
+    for g in graphs:
+        dm = apsp(g)
+        for bands in scan_parameters(dm):
+            for make in (first_three_rejected, lambda: even_sum):
+                want = pair_loop_scan_quadruples(dm, *bands, make())
+                assert dm.first_quadruple(*bands, make()) == want, (g.name, bands)
 
 
 def assert_intervals_match(graphs: list[Graph]) -> None:
@@ -127,6 +151,22 @@ def test_scan_matches_the_pair_loop_on_the_ladder() -> None:
 
 def test_scan_matches_the_pair_loop_on_large_inputs() -> None:
     assert_scans_match(LARGE)
+
+
+def test_scan_with_a_predicate_matches_the_pair_loop() -> None:
+    assert_predicate_scans_match(LADDER + SEEDED)
+
+
+def test_scan_calls_the_predicate_in_the_pair_loop_order() -> None:
+    # a predicate that accepts nothing sees every fitting quadruple once
+    for g in LADDER[::4] + SEEDED[::6]:
+        dm = apsp(g)
+        for bands in scan_parameters(dm):
+            want: list[tuple[int, ...]] = []
+            got: list[tuple[int, ...]] = []
+            assert pair_loop_scan_quadruples(dm, *bands, lambda *q: want.append(q)) is None
+            assert dm.first_quadruple(*bands, lambda *q: got.append(q)) is None
+            assert got == want, (g.name, bands)
 
 
 def test_interval_violation_matches_the_vertex_loop() -> None:
@@ -212,6 +252,22 @@ def test_universal_vertex_outside_the_triangle() -> None:
     assert is_helly(g)
 
 
+def test_square_condition_skips_a_dominated_cycle_and_its_revisit() -> None:
+    # the 4-cycle 0-1-2-3 is dominated by its hub 4, which the edge 4-5 joins
+    # to the bare 4-cycle 5-6-7-8; the scanner meets the first cycle at x = 0
+    # and again at x = 1 with y = 0 < x, and both are rejected
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)] + [(4, v) for v in range(4)]
+    edges += [(4, 5), (5, 6), (6, 7), (7, 8), (5, 8)]
+    g = Graph(9, edges)
+    dm = apsp(g)
+    seen: list[tuple[int, ...]] = []
+    assert dm.first_quadruple((2, 2), (1, 1), (2, 2), lambda *q: seen.append(q)) is None
+    assert seen == [(0, 1, 2, 3), (1, 0, 3, 2), (5, 6, 7, 8), (6, 5, 8, 7)]
+    found = helly._undominated_c4(g, dm)
+    assert found is not None and [c.center for c in found] == [5, 6, 7, 8]
+    assert found == list_walk_undominated_c4(g, dm)
+
+
 def test_square_condition_packs_bounded_blocks() -> None:
     # a 4-cycle 0-1-2-3 whose vertex 1 is also the centre of a star: (d)
     # fails on its first 4-cycle, and the distance-2 rows come from the
@@ -234,14 +290,14 @@ def test_square_condition_packs_bounded_blocks() -> None:
 def test_kernels_peak_allocation_is_capped() -> None:
     # king 30 x 30: the int16 matrix alone is 1.6 MB.  The two scans cache
     # seven powers of 900 bit rows (0.8 MB in all), each packed from one
-    # 0.8 MB boolean block, and cut three bands of 900 rows per call; the
-    # interval blocks hold at most 2^18 padded cells.
+    # 0.8 MB boolean block, and cut one band of 900 rows per distinct range
+    # of a call; the interval blocks hold at most 2^18 padded cells.
     g = king_grid(30, 30)
     dm = apsp(g)
     probes = [((8, 8), (4, 4), (8, 8)), ((15, 16), (0, 8), (15, 29))]
     tracemalloc.start()
     try:
-        found = [detect._scan_quadruples(dm, *p) for p in probes]
+        found = [dm.first_quadruple(*p) for p in probes]
         verdicts = [helly._interval_violation(g, dm, gap) for gap in (1, 2)]
         _, peak = tracemalloc.get_traced_memory()
     finally:

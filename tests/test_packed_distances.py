@@ -30,7 +30,6 @@ from hellymetric import (
     path_graph,
     random_connected_graph,
 )
-from hellymetric.detect import _band_rows
 from hellymetric.distances import _SPARSE, _all_sources
 from hellymetric.graphs import DisconnectedGraphError
 from hellymetric.report import build_analysis, verify_claims
@@ -223,14 +222,14 @@ def test_ball_bits_and_power_rows_match_the_loop(g: Graph) -> None:
     for c in range(g.n):
         ecc = int(dm.ecc[c])
         for r in (*range(ecc + 1), ecc + 1, ecc + 9):
-            assert _band_rows(dm, 0, r)[c] == loop_ball_bits(dm, c, r), (c, r)
+            assert dm.band_rows(0, r)[c] == loop_ball_bits(dm, c, r), (c, r)
     for lo in range(1, dm.diam + 2):
         for hi in range(lo, dm.diam + 3):
             want = [
                 loop_ball_bits(dm, v, hi) & ~loop_ball_bits(dm, v, lo - 1)
                 for v in range(g.n)
             ]
-            assert _band_rows(dm, lo, hi) == want, (lo, hi)
+            assert dm.band_rows(lo, hi) == want, (lo, hi)
     for ell in range(dm.diam + 3):
         want = [loop_ball_bits(dm, v, ell) & ~(1 << v) for v in range(g.n)]
         assert dm.power_rows(ell) == want, ell
