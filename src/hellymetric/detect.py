@@ -53,6 +53,8 @@ from .helly import DiskConstraint, HellyCheck, MedianResult, find_median, is_hel
 from .hyperbolicity import (
     HyperbolicityWitness,
     ThinnessWitness,
+    _scan_value,
+    _thinness_value,
     hyperbolicity,
     interval_thinness,
 )
@@ -445,6 +447,14 @@ class Analysis:
     Helly recognition, the hyperbolicity scan, interval thinness, each
     obstruction probe and the probe sweep are computed on first use and
     kept, so every route that reads one of them shares a single computation.
+
+    The scans come in two forms.  ``hyperbolicity`` and ``thinness`` are the
+    (value, witness) pairs of ``hyperbolicity()`` and ``interval_thinness()``;
+    only the report of ``analyze`` reads them, since only it prints the
+    witnesses.  ``hb`` (the hyperbolicity) and ``tau`` (the interval
+    thinness) are the values that the routes, ``verify`` and the hull check
+    read: taken from the pair when it was computed first, and otherwise from
+    the scan's value part, which runs no witness pass.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -463,6 +473,18 @@ class Analysis:
     @cached_property
     def thinness(self) -> tuple[int, ThinnessWitness]:
         return interval_thinness(self.g, dm=self.dm)
+
+    @cached_property
+    def hb(self) -> HalfInt:
+        if "hyperbolicity" in self.__dict__:
+            return self.hyperbolicity[0]
+        return HalfInt(_scan_value(self.g, dm=self.dm)[0])
+
+    @cached_property
+    def tau(self) -> int:
+        if "thinness" in self.__dict__:
+            return self.thinness[0]
+        return _thinness_value(self.g, dm=self.dm)[0]
 
     @cached_property
     def sweep(self) -> tuple[tuple[HalfInt, ObstructionWitness | None], ...]:
@@ -539,7 +561,7 @@ def hb_by_thinness(a: Analysis) -> HalfInt:
     wide-diagonal probe at k = (tau-1)/2 fires, else h = tau/2.
     """
     _require_helly(a)
-    tau, _ = a.thinness
+    tau = a.tau
     if tau % 2 == 0:
         return HalfInt.from_int(tau // 2)
     if a.probe(tau) is not None:
@@ -565,7 +587,7 @@ def helly_routes(a: Analysis) -> HellyRoutes:
     th = hb_by_thinness(a)
     power = _power_table(a)
     eq = half_hyperbolic_equivalents(a)
-    hb, _ = a.hyperbolicity
+    hb = a.hb
     agree = (
         ob == hb
         and th == hb
@@ -577,10 +599,9 @@ def helly_routes(a: Analysis) -> HellyRoutes:
 
 def _power_table(a: Analysis) -> tuple[tuple[HalfInt, bool], ...]:
     """The power route's decision at every threshold 0, 1/2, ..., h + 1."""
-    hb, _ = a.hyperbolicity
     return tuple(
         (HalfInt(td), power_characterization(a, HalfInt(td)))
-        for td in range(0, hb.doubled + 3)
+        for td in range(0, a.hb.doubled + 3)
     )
 
 
@@ -620,16 +641,14 @@ def half_hyperbolic_equivalents(a: Analysis) -> dict[str, bool]:
     """
     _require_helly(a)
     dm = a.dm
-    hb, _ = a.hyperbolicity
     c4 = _power_window(dm, 1, 1)
     sun_tips = _has_sun_tip_pattern(dm)
     c4_sq = _power_window(dm, 2, 2)
-    tau, _ = a.thinness
     return {
-        "hyperbolicity_le_half": hb <= HalfInt(1),
+        "hyperbolicity_le_half": a.hb <= HalfInt(1),
         "no_induced_c4_or_sun_tips": not c4 and not sun_tips,
         "g_and_square_c4_free": not c4 and not c4_sq,
-        "thinness_le_1_no_sun_tips": tau <= 1 and not sun_tips,
+        "thinness_le_1_no_sun_tips": a.tau <= 1 and not sun_tips,
     }
 
 

@@ -219,9 +219,8 @@ def hull_validate(a: Analysis, *, result: HullResult | None = None) -> dict[str,
         (ha.dm.dist[np.ix_(emb, emb)] == a.dm.dist).all()
     )
 
-    hb_g, _ = a.hyperbolicity
-    hb_h, _ = ha.hyperbolicity
-    checks["hyperbolicity_preserved"] = hb_g == hb_h
+    hb_g = a.hb
+    checks["hyperbolicity_preserved"] = hb_g == ha.hb
 
     cov = int(ha.dm.dist[:, emb].min(axis=1).max())
     checks["covering_radius"] = cov <= hb_g.doubled

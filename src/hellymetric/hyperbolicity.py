@@ -56,6 +56,18 @@ its pairs at distance tau into A_k, which names the endpoints y sharing
 such a pair.  The witness has y > x, because I(x, y) = I(y, x) with
 mirrored slices, so a hit with y < x would have reached tau at the earlier
 source y.
+
+Each scan has a value part and a witness part.  The value parts are
+``_scan_value`` (the block test, the far-apart pairs and the value pass:
+twice the delta) and ``_thinness_value`` (the source loop: tau and the first
+source reaching it).  ``hyperbolicity`` and ``interval_thinness`` run the
+value part, then the witness pass or ``_witness`` on what it found, and
+return the (value, witness) pairs; no other function runs a witness part.
+Only the report of ``analyze`` prints witnesses, so it reads the pairs;
+``detect.Analysis.hb`` and ``.tau`` give every route, ``verify`` and the
+hull check the values alone, from the pair when one was computed and from
+the value part otherwise, and ``families.validate_family`` runs
+``_scan_value`` itself.
 """
 from __future__ import annotations
 
@@ -207,28 +219,38 @@ def hyperbolicity(
 ) -> tuple[HalfInt, HyperbolicityWitness]:
     """Exact maximum quadruple delta, scanning far-apart pairs only.
 
-    A value pass finds twice the delta B; a witness pass then walks the
-    smallest vertex a upwards and returns the lexicographically smallest
-    sorted maximizing quadruple whose largest-sum pairing is two far-apart
-    pairs (see the module docstring); with delta 0 it is (0, 0, 0, 0).
+    The value part (``_scan_value``) finds twice the delta B; a witness
+    pass then walks the smallest vertex a upwards and returns the
+    lexicographically smallest sorted maximizing quadruple whose largest-sum
+    pairing is two far-apart pairs (see the module docstring); with delta 0
+    it is (0, 0, 0, 0).
     """
     # apsp refuses a disconnected graph, and is_block_graph needs a connected one
     dm = dm or apsp(g)
-    zero_witness = HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
-    if is_block_graph(g):
-        return HalfInt(0), zero_witness
-
-    dist = dm.dist
-    iu, iv = dm.far_apart_pairs()
-    duv = dist[iu, iv].astype(np.int32)
-    best = _value_pass(dist, iu, iv, duv)
+    best, pairs = _scan_value(g, dm=dm)
     if best == 0:
-        return HalfInt(0), zero_witness
-    q = _witness_pass(dist, iu, iv, duv, best)
+        return HalfInt(0), HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
+    q = _witness_pass(dm.dist, *pairs, best)
     sums = _sums(dm, *q)
     top = sorted(sums)
     assert top[2] - top[1] == best, "scan/recheck mismatch"
     return HalfInt(best), HyperbolicityWitness(q, sums, HalfInt(best))
+
+
+def _scan_value(
+    g: Graph, *, dm: DistanceMatrix
+) -> tuple[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Twice the delta, and the far-apart pairs (u, v, d(u, v)) it was found on.
+
+    A block graph is 0 before any pair is read, and its pair arrays are empty.
+    """
+    if is_block_graph(g):
+        none = np.empty(0, np.int32)
+        return 0, (none, none, none)
+    dist = dm.dist
+    iu, iv = dm.far_apart_pairs()
+    duv = dist[iu, iv].astype(np.int32)
+    return _value_pass(dist, iu, iv, duv), (iu, iv, duv)
 
 
 def _value_pass(
@@ -323,6 +345,17 @@ def interval_thinness(
     tau is 0 the witness is ((0, 0), 0, (0, 0), 0).
     """
     dm = dm or apsp(g)
+    tau, first = _thinness_value(g, dm=dm)
+    if tau == 0:
+        return 0, ThinnessWitness((0, 0), 0, (0, 0), 0)
+    return tau, _witness(dm.dist, first, int(dm.ecc[first]), tau)
+
+
+def _thinness_value(g: Graph, *, dm: DistanceMatrix) -> tuple[int, int]:
+    """Interval thinness tau, and the first source whose levels reach it.
+
+    The source is -1 when tau is 0.
+    """
     dist = dm.dist
     best, first = 0, -1
     for x in range(g.n):
@@ -336,9 +369,7 @@ def interval_thinness(
             mx = int(np.where(shared, level, -1).max())
             if mx > best:
                 best, first = mx, x
-    if best == 0:
-        return 0, ThinnessWitness((0, 0), 0, (0, 0), 0)
-    return best, _witness(dist, first, int(dm.ecc[first]), best)
+    return best, first
 
 
 def _levels(

@@ -231,8 +231,8 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
         ]
 
     out: list[ClaimResult] = []
-    hb, _ = a.hyperbolicity
-    tau, _ = a.thinness
+    hb = a.hb
+    tau = a.tau
 
     window = tau <= hb.doubled <= tau + 1
     fired_at_tau = tau % 2 == 1 and a.probe(tau) is not None

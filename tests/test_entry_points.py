@@ -104,3 +104,29 @@ def test_only_distances_reads_the_power_cache() -> None:
             ):
                 readers.add(path.name)
     assert readers == {"distances.py"}, readers
+
+
+def test_only_the_traced_pair_functions_run_a_witness_part() -> None:
+    # the witness parts are named only inside the two entry points that
+    # perfbench traces, so a reader of the values alone never pays for a
+    # witness it drops
+    parts = {"_witness_pass", "_witness"}
+    readers: set[tuple[str, str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name in parts:
+                    readers.add((path.name, getattr(top, "name", "<module>"), name))
+    assert readers == {
+        ("hyperbolicity.py", "hyperbolicity", "_witness_pass"),
+        ("hyperbolicity.py", "interval_thinness", "_witness"),
+    }, readers
