@@ -164,54 +164,43 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     fam = args.family
+    dot = None  # a family is drawn inside its host grid, other graphs alone
     if fam in ("h1", "h2", "h3"):
         if args.k is None:
             raise ValueError(f"--family {fam} requires --k")
         l = args.l if args.l is not None else args.k
         fg = build_obstruction(fam.upper(), args.k, l)
-        if args.dot:
-            _emit(family_to_dot(fg), args.output)
-            return 0
         g = fg.graph
-        header = [f"{g.name} n={g.n} m={g.m}"]
-        for tag, cidx in zip("abcd", fg.corners):
-            header.append(f"corner {tag}={cidx}")
-        for vid, (cell, (hx, hy)) in enumerate(zip(fg.cells, fg.host_cells())):
-            header.append(f"cell {vid} = ({cell[0]},{cell[1]}) host=({hx},{hy})")
-        _emit(to_edge_list(g, header=header), args.output)
-        return 0
-    if fam == "king":
+        if args.dot:
+            dot = family_to_dot(fg)
+        header = [f"corner {tag}={cidx}" for tag, cidx in zip("abcd", fg.corners)]
+        header += [
+            f"cell {vid} = ({s},{t}) host=({hx},{hy})"
+            for vid, ((s, t), (hx, hy)) in enumerate(zip(fg.cells, fg.host_cells()))
+        ]
+    elif fam == "king":
         if args.p is None:
             raise ValueError("--family king requires --p (and optionally --q)")
-        q = args.q if args.q is not None else args.p
-        g = king_grid(args.p, q)
-        if args.dot:
-            _emit(graph_to_dot(g), args.output)
-            return 0
-        header = [f"{g.name} n={g.n} m={g.m}"]
+        g = king_grid(args.p, args.q if args.q is not None else args.p)
         assert g.vertex_labels is not None
-        for vid, lab in enumerate(g.vertex_labels):
-            header.append(f"cell {vid} = ({lab})")
-        _emit(to_edge_list(g, header=header), args.output)
-        return 0
-    # random-hull: the injective hull of a seeded random connected graph
-    budget = resolve_budget()
-    if args.n is None:
-        raise ValueError("--family random-hull requires --n")
-    base = random_connected_graph(args.n, args.prob, args.seed)
-    try:
-        g = hull(base, budget=budget).graph
-    except HullBudgetError as exc:
-        sys.stderr.write(f"hull enumeration refused: {exc}\n")
-        return 4
+        header = [f"cell {vid} = ({lab})" for vid, lab in enumerate(g.vertex_labels)]
+    else:
+        # random-hull: the injective hull of a seeded random connected graph
+        budget = resolve_budget()
+        if args.n is None:
+            raise ValueError("--family random-hull requires --n")
+        base = random_connected_graph(args.n, args.prob, args.seed)
+        try:
+            g = hull(base, budget=budget).graph
+        except HullBudgetError as exc:
+            sys.stderr.write(f"hull enumeration refused: {exc}\n")
+            return 4
+        header = [f"base gnp(n={args.n}, prob={args.prob}, seed={args.seed})"]
     if args.dot:
-        _emit(graph_to_dot(g), args.output)
-        return 0
-    header = [
-        f"{g.name} n={g.n} m={g.m}",
-        f"base gnp(n={args.n}, prob={args.prob}, seed={args.seed})",
-    ]
-    _emit(to_edge_list(g, header=header), args.output)
+        text = dot or graph_to_dot(g)
+    else:
+        text = to_edge_list(g, header=[f"{g.name} n={g.n} m={g.m}", *header])
+    _emit(text, args.output)
     return 0
 
 

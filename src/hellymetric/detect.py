@@ -22,10 +22,11 @@ computes each shared quantity once, and reject non-Helly input.
 Witness corners are the quadruple the scan fired on; the materialized copy
 (always computed) lives in the witness alongside its cell layout.  One
 certification step, ``_certify``, turns corners into a copy for the
-detectors and for ``materialize``; phase 2 of ``detect_H1_or_H3``, whose
-family is known only after resolution, calls ``resolve_window_quadruple``
-directly.  Every case of both places one frame copy on four anchors and
-cuts the witness window from it (``_window_copy``).
+detectors and for ``materialize``; ``_h1_copy``, the exact H1(k+1, k+1)
+corner scan then ``_certify``, is ``detect_H1`` and phase 1 of
+``detect_H1_or_H3``.  Phase 2, whose family is known only after resolution,
+calls ``resolve_window_quadruple``.  Each case of either step places one
+frame copy on four anchors and cuts the witness from it (``_window_copy``).
 
 Every probe, the sun-tip test, the power route and both 4-cycle tests are
 calls of the one quadruple-pattern scanner, ``DistanceMatrix.first_quadruple``,
@@ -291,17 +292,16 @@ def detect_H1(
     """Certified H1(k+1, k+1) copy from the exact corner pattern, or None."""
     if k < 0:
         raise ValueError("probe parameter must be >= 0")
-    dm = dm or apsp(g)
-    found = _scan_h1_pattern(dm, k)
-    if found is None:
-        return None
-    return _certify(g, dm, "H1", k + 1, k + 1, found)
+    return _h1_copy(g, dm or apsp(g), k)
 
 
-def _scan_h1_pattern(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
-    """First quadruple (x,y,z,t) with sides k+1 and diagonals 2k+2."""
+def _h1_copy(g: Graph, dm: DistanceMatrix, k: int) -> ObstructionWitness | None:
+    """Certify the first quadruple with sides k+1 and diagonals 2k+2, if any."""
     diag = 2 * k + 2
-    return dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag, diag))
+    quad = dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag, diag))
+    if quad is None:
+        return None
+    return _certify(g, dm, "H1", k + 1, k + 1, quad)
 
 
 def detect_H2(
@@ -336,9 +336,9 @@ def detect_H1_or_H3(
     if k < 0:
         raise ValueError("probe parameter must be >= 0")
     dm = dm or apsp(g)
-    found = _scan_h1_pattern(dm, k)
+    found = _h1_copy(g, dm, k)
     if found is not None:
-        return _certify(g, dm, "H1", k + 1, k + 1, found)
+        return found
     lo = 2 * k + 3
     quad = dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
     if quad is None:

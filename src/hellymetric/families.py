@@ -2,9 +2,10 @@
 
 Cells live in rotated coordinates (s, t) with s = x + y and t = x - y, so a
 cell is valid iff s and t have the same parity, and the king-move (Chebyshev)
-distance between cells is (|ds| + |dt|) / 2.  Each family is a parity-valid
-region of a rectangle in (s, t), possibly with a few protruding tip cells,
-together with four distinguished corner cells a, b, c, d.
+distance between cells is (|ds| + |dt|) / 2.  Each family is the set of
+parity-valid cells of a rectangle in (s, t) plus its tips, with four
+distinguished corner cells a, b, c, d; the tips are exactly the corners that
+lie outside the rectangle.
 
 Shapes (parameters k, l >= 0 unless noted):
 
@@ -22,6 +23,7 @@ Shapes (parameters k, l >= 0 unless noted):
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,26 +61,27 @@ def cell_metric(cells: Sequence[Cell]) -> np.ndarray:
     return np.maximum(np.abs(dx, out=dx), np.abs(dy, out=dy), out=dx)
 
 
-def _rect_cells(s_lo: int, s_hi: int, t_lo: int, t_hi: int) -> list[Cell]:
-    return [
+def family_cells(family: str, k: int, l: int) -> tuple[Cell, ...]:
+    """All cells of the family, sorted lexicographically: the parity-valid
+    cells of its (s, t) rectangle, and the corners outside it (the tips)."""
+    _check_params(family, k, l)
+    if family == "H1":
+        s_hi, t_lo, t_hi = 2 * k, 0, 2 * l
+    elif family == "H2":
+        s_hi, t_lo, t_hi = 2 * k + 1, -1, 2 * l
+    else:
+        s_hi, t_lo, t_hi = 2 * k + 2, -1, 2 * l + 1
+    cells = [
         (s, t)
-        for s in range(s_lo, s_hi + 1)
+        for s in range(s_hi + 1)
         for t in range(t_lo, t_hi + 1)
         if (s - t) % 2 == 0
     ]
-
-
-def family_cells(family: str, k: int, l: int) -> tuple[Cell, ...]:
-    """All cells of the family, sorted lexicographically."""
-    _check_params(family, k, l)
-    if family == "H1":
-        cells = _rect_cells(0, 2 * k, 0, 2 * l)
-    elif family == "H2":
-        cells = _rect_cells(0, 2 * k + 1, -1, 2 * l)
-        cells += [(-1, -1), (2 * k + 1, 2 * l + 1)]
-    else:
-        cells = _rect_cells(0, 2 * k + 2, -1, 2 * l + 1)
-        cells += [(-1, -1), (2 * k + 2, -2), (2 * k + 3, 2 * l + 1), (0, 2 * l + 2)]
+    cells += [
+        (s, t)
+        for s, t in family_corner_cells(family, k, l)
+        if not (0 <= s <= s_hi and t_lo <= t <= t_hi)
+    ]
     return tuple(sorted(cells))
 
 
@@ -192,13 +195,7 @@ class FamilyGraph:
         )
 
     def cell_index(self, cell: Cell) -> int:
-        lo, hi = 0, len(self.cells)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.cells[mid] < cell:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect.bisect_left(self.cells, cell)
         if lo == len(self.cells) or self.cells[lo] != cell:
             raise KeyError(f"cell {cell} not in {self.family}({self.k},{self.l})")
         return lo
@@ -275,7 +272,7 @@ def validate_family(fg: FamilyGraph) -> dict[str, bool]:
 
     side = host_side(fam, k, l)
     host = king_grid(side, side)
-    placed = [cell_to_host(fam, k, l, cell) for cell in fg.cells]
+    placed = fg.host_cells()
     ids = [x * side + y for x, y in placed]
     record("host_in_range", all(0 <= x < side and 0 <= y < side for x, y in placed))
     record("host_vertices_distinct", len(set(ids)) == len(ids))

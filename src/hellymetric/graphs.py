@@ -111,6 +111,8 @@ class Graph:
         if n < 1:
             raise GraphError("graph needs at least one vertex")
         u, v = (edges if _checked else _edge_array(n, edges)).T
+        if vertex_labels is not None and len(vertex_labels) != n:
+            raise GraphError("vertex_labels length must equal n")
         step = max(1, _GATHER_BYTES // n)
         bits: list[int] = []
         cells: list[np.ndarray] = []  # adjacent pairs (x, y) as cell x * n + y
@@ -134,8 +136,6 @@ class Graph:
         )
         self.adj_bits: tuple[int, ...] = tuple(bits)
         self.name = name
-        if vertex_labels is not None and len(vertex_labels) != n:
-            raise GraphError("vertex_labels length must equal n")
         self.vertex_labels = tuple(vertex_labels) if vertex_labels is not None else None
         self._csr = (nbrs, offsets)
 

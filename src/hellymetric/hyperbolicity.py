@@ -103,19 +103,12 @@ class ThinnessWitness:
     distance: int
 
 
-def _sums(dm: DistanceMatrix, u: int, v: int, w: int, x: int) -> tuple[int, int, int]:
-    return (
-        dm.d(u, v) + dm.d(w, x),
-        dm.d(u, w) + dm.d(v, x),
-        dm.d(u, x) + dm.d(v, w),
-    )
-
-
 def quadruple_delta(
     dm: DistanceMatrix, u: int, v: int, w: int, x: int
 ) -> HyperbolicityWitness:
     """Half the gap between the two largest pairing sums of one quadruple."""
-    sums = _sums(dm, u, v, w, x)
+    d = dm.d
+    sums = (d(u, v) + d(w, x), d(u, w) + d(v, x), d(u, x) + d(v, w))
     top = sorted(sums)
     return HyperbolicityWitness((u, v, w, x), sums, HalfInt(top[2] - top[1]))
 
@@ -230,11 +223,9 @@ def hyperbolicity(
     best, pairs = _scan_value(g, dm=dm)
     if best == 0:
         return HalfInt(0), HyperbolicityWitness((0, 0, 0, 0), (0, 0, 0), HalfInt(0))
-    q = _witness_pass(dm.dist, *pairs, best)
-    sums = _sums(dm, *q)
-    top = sorted(sums)
-    assert top[2] - top[1] == best, "scan/recheck mismatch"
-    return HalfInt(best), HyperbolicityWitness(q, sums, HalfInt(best))
+    w = quadruple_delta(dm, *_witness_pass(dm.dist, *pairs, best))
+    assert w.delta.doubled == best, "scan/recheck mismatch"
+    return w.delta, w
 
 
 def _scan_value(

@@ -20,7 +20,7 @@ from .detect import (
     hb_by_thinness,
     helly_routes,
 )
-from .families import FamilyGraph, cell_to_host, host_side
+from .families import FamilyGraph, host_side
 from .graphs import Graph
 from .halfint import HalfInt
 from .helly import DiskConstraint
@@ -230,65 +230,43 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
             for cid in CLAIM_IDS
         ]
 
-    out: list[ClaimResult] = []
-    hb = a.hb
-    tau = a.tau
-
+    hb, tau = a.hb, a.tau
     window = tau <= hb.doubled <= tau + 1
     fired_at_tau = tau % 2 == 1 and a.probe(tau) is not None
     tight = hb.doubled == tau + 1
-    ok = window and tight == fired_at_tau
-    out.append(
-        ClaimResult(
-            "Thm3-window",
-            "PASS" if ok else "FAIL",
-            f"2h={hb.doubled}, tau={tau}, odd-probe fired={fired_at_tau}",
-        )
-    )
-
     kmax = hb.floor() + 1
     bad = a.probe_mismatches(
         hb, [*range(0, 2 * kmax + 2, 2), *range(1, 2 * kmax + 2, 2)]
     )
-    for cid, parity in (("Thm4-int", 0), ("Thm4-half", 1)):
-        ks = [td // 2 for td in bad if td % 2 == parity]
-        out.append(
-            ClaimResult(
-                cid,
-                "PASS" if not ks else "FAIL",
-                f"k=0..{kmax}" + ("" if not ks else f", mismatched at k={ks[0]}"),
-            )
-        )
-
+    # the mismatched k of the integer (even td) and the half (odd td) probes
+    ks_int, ks_half = [[td // 2 for td in bad if td % 2 == p] for p in (0, 1)]
     bad_pow = _power_mismatches(_power_table(a), hb)
-    out.append(
-        ClaimResult(
-            "Thm5-powers",
-            "PASS" if not bad_pow else "FAIL",
-            f"thresholds 0..{HalfInt(hb.doubled + 2)}"
-            + ("" if not bad_pow else f", mismatched at {bad_pow[0]}"),
-        )
-    )
-
     th = hb_by_thinness(a)
-    parity_ok = th == hb and (tau % 2 == 1 or hb.doubled == tau)
-    out.append(
-        ClaimResult(
-            "Cor2-parity",
-            "PASS" if parity_ok else "FAIL",
-            f"thinness route gives {th}, direct {hb}, tau={tau}",
-        )
-    )
-
     eq = half_hyperbolic_equivalents(a)
-    out.append(
-        ClaimResult(
-            "Cor3-equivalents",
-            "PASS" if _equivalents_agree(eq, hb) else "FAIL",
-            ", ".join(f"{k}={v}" for k, v in eq.items()),
-        )
-    )
-    return out
+    checks = [
+        (
+            window and tight == fired_at_tau,
+            f"2h={hb.doubled}, tau={tau}, odd-probe fired={fired_at_tau}",
+        ),
+        *(
+            (not ks, f"k=0..{kmax}" + (f", mismatched at k={ks[0]}" if ks else ""))
+            for ks in (ks_int, ks_half)
+        ),
+        (
+            not bad_pow,
+            f"thresholds 0..{HalfInt(hb.doubled + 2)}"
+            + (f", mismatched at {bad_pow[0]}" if bad_pow else ""),
+        ),
+        (
+            th == hb and (tau % 2 == 1 or hb.doubled == tau),
+            f"thinness route gives {th}, direct {hb}, tau={tau}",
+        ),
+        (_equivalents_agree(eq, hb), ", ".join(f"{k}={v}" for k, v in eq.items())),
+    ]
+    return [
+        ClaimResult(cid, "PASS" if holds else "FAIL", detail)
+        for cid, (holds, detail) in zip(CLAIM_IDS, checks, strict=True)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +282,9 @@ def family_to_dot(fg: FamilyGraph) -> str:
     """
     fam, k, l = fg.family, fg.k, fg.l
     side = host_side(fam, k, l)
-    placed = {cell_to_host(fam, k, l, cell) for cell in fg.cells}
-    corner_xy = [cell_to_host(fam, k, l, cell) for cell in fg.corner_cells]
-    corner_tag = dict(zip(corner_xy, "abcd"))
+    hosts = fg.host_cells()
+    placed = set(hosts)
+    corner_tag = {hosts[c]: tag for c, tag in zip(fg.corners, "abcd")}
 
     lines = [
         f'graph "{fam}({k},{l})" {{',

@@ -67,7 +67,7 @@ from hellymetric import (
 )
 from hellymetric.families import family_corner_cells
 from hellymetric.hull import HullBudgetError, resolve_budget
-from hellymetric.hyperbolicity import HyperbolicityWitness, _sums
+from hellymetric.hyperbolicity import HyperbolicityWitness
 
 
 class EnumerationBudgetError(Exception):
@@ -702,6 +702,21 @@ def dfs_biconnected_components(g: Graph) -> list[set[int]]:
     return comps
 
 
+def _rechecked_witness(
+    dist: np.ndarray, q: tuple[int, int, int, int], best: int
+) -> tuple[HalfInt, HyperbolicityWitness]:
+    """The witness on the scanned quadruple q, whose two largest pairing
+    sums, read from ``dist``, must be ``best`` apart."""
+    a, b, c, d = q
+    sums = tuple(
+        int(dist[u, v]) + int(dist[w, x])
+        for u, v, w, x in ((a, b, c, d), (a, c, b, d), (a, d, b, c))
+    )
+    top = sorted(sums)
+    assert top[2] - top[1] == best, "scan/recheck mismatch"
+    return HalfInt(best), HyperbolicityWitness(q, sums, HalfInt(best))
+
+
 def all_pairs_hyperbolicity(
     g: Graph, dm: DistanceMatrix, *, threads: int = 1
 ) -> tuple[HalfInt, HyperbolicityWitness]:
@@ -790,11 +805,7 @@ def all_pairs_hyperbolicity(
 
     if state["witness"] is None or state["best"] == 0:
         return HalfInt(0), zero_witness
-    q = state["witness"]
-    sums = _sums(dm, *q)
-    top = sorted(sums)
-    assert top[2] - top[1] == state["best"], "scan/recheck mismatch"
-    return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
+    return _rechecked_witness(dist, state["witness"], state["best"])
 
 
 def fold_far_apart(g: Graph, dist: np.ndarray) -> np.ndarray:
@@ -891,11 +902,7 @@ def tie_scan_hyperbolicity(
 
     if state["witness"] is None or state["best"] == 0:
         return HalfInt(0), zero_witness
-    q = state["witness"]
-    sums = _sums(dm, *q)
-    top = sorted(sums)
-    assert top[2] - top[1] == state["best"], "scan/recheck mismatch"
-    return HalfInt(state["best"]), HyperbolicityWitness(q, sums, HalfInt(state["best"]))
+    return _rechecked_witness(dist, state["witness"], state["best"])
 
 
 def _bfs_vertex_order(g: Graph) -> list[int]:

@@ -434,6 +434,139 @@ def test_verify_skips_on_non_helly_graph(tmp_path, capsys) -> None:
     assert all(ln.startswith("SKIP") for ln in lines)
 
 
+VERIFY_KING_4X5 = {
+    "Thm3-window": "PASS Thm3-window       2h=3, tau=3, odd-probe fired=False",
+    "Thm4-int": "PASS Thm4-int          k=0..2",
+    "Thm4-half": "PASS Thm4-half         k=0..2",
+    "Thm5-powers": "PASS Thm5-powers       thresholds 0..5/2",
+    "Cor2-parity": "PASS Cor2-parity       thinness route gives 3/2, direct 3/2, tau=3",
+    "Cor3-equivalents": "PASS Cor3-equivalents  hyperbolicity_le_half=False, "
+    "no_induced_c4_or_sun_tips=False, g_and_square_c4_free=False, "
+    "thinness_le_1_no_sun_tips=False",
+}
+
+VERIFY_KING_2X4 = {
+    "Thm3-window": "PASS Thm3-window       2h=1, tau=1, odd-probe fired=False",
+    "Thm4-int": "PASS Thm4-int          k=0..1",
+    "Thm4-half": "PASS Thm4-half         k=0..1",
+    "Thm5-powers": "PASS Thm5-powers       thresholds 0..3/2",
+    "Cor2-parity": "PASS Cor2-parity       thinness route gives 1/2, direct 1/2, tau=1",
+    "Cor3-equivalents": "PASS Cor3-equivalents  hyperbolicity_le_half=True, "
+    "no_induced_c4_or_sun_tips=True, g_and_square_c4_free=True, "
+    "thinness_le_1_no_sun_tips=True",
+}
+
+
+def _flip_probe(monkeypatch, flip_td: int) -> None:
+    from hellymetric.detect import Analysis
+
+    probe = Analysis.probe
+
+    def flipped(self, td):
+        w = probe(self, td)
+        if td != flip_td:
+            return w
+        return None if w is not None else object()
+
+    monkeypatch.setattr(Analysis, "probe", flipped)
+
+
+def _flip_power(monkeypatch, flip: HalfInt) -> None:
+    import hellymetric.detect as detect
+
+    power = detect.power_characterization
+
+    def flipped(a, threshold):
+        within = power(a, threshold)
+        return not within if threshold == flip else within
+
+    monkeypatch.setattr(detect, "power_characterization", flipped)
+
+
+def _thinness_off_by_half(monkeypatch) -> None:
+    import hellymetric.report as report
+
+    by_thinness = report.hb_by_thinness
+    monkeypatch.setattr(
+        report, "hb_by_thinness", lambda a: HalfInt(by_thinness(a).doubled + 1)
+    )
+
+
+def _one_equivalent_false(monkeypatch) -> None:
+    import hellymetric.report as report
+
+    equivalents = report.half_hyperbolic_equivalents
+
+    def one_false(a):
+        return {**equivalents(a), "g_and_square_c4_free": False}
+
+    monkeypatch.setattr(report, "half_hyperbolic_equivalents", one_false)
+
+
+@pytest.mark.parametrize(
+    "shape, patch, expected",
+    [
+        # the even probe at k=1 misses
+        (
+            (4, 5),
+            lambda mp: _flip_probe(mp, 2),
+            {"Thm4-int": "FAIL Thm4-int          k=0..2, mismatched at k=1"},
+        ),
+        # the odd probe at tau fires: three claims read it
+        (
+            (4, 5),
+            lambda mp: _flip_probe(mp, 3),
+            {
+                "Thm3-window": "FAIL Thm3-window       2h=3, tau=3, "
+                "odd-probe fired=True",
+                "Thm4-half": "FAIL Thm4-half         k=0..2, mismatched at k=1",
+                "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
+                "direct 3/2, tau=3",
+            },
+        ),
+        (
+            (4, 5),
+            lambda mp: _flip_power(mp, HalfInt(2)),
+            {
+                "Thm5-powers": "FAIL Thm5-powers       thresholds 0..5/2, "
+                "mismatched at 1"
+            },
+        ),
+        (
+            (4, 5),
+            _thinness_off_by_half,
+            {
+                "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
+                "direct 3/2, tau=3"
+            },
+        ),
+        (
+            (2, 4),
+            _one_equivalent_false,
+            {
+                "Cor3-equivalents": "FAIL Cor3-equivalents  "
+                "hyperbolicity_le_half=True, no_induced_c4_or_sun_tips=True, "
+                "g_and_square_c4_free=False, thinness_le_1_no_sun_tips=True"
+            },
+        ),
+    ],
+    ids=["probe-even", "probe-odd", "power", "thinness", "equivalents"],
+)
+def test_verify_fails_each_claim_a_wrong_route_breaks(
+    tmp_path, capsys, monkeypatch, shape, patch, expected
+) -> None:
+    # each patch breaks one route; exactly the claims that read it FAIL,
+    # with the mismatch named, and verify exits 2
+    path = write_graph(tmp_path, "king.edges", king_grid(*shape))
+    base = VERIFY_KING_4X5 if shape == (4, 5) else VERIFY_KING_2X4
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in base.values())
+    patch(monkeypatch)
+    assert main(["verify", path]) == 2
+    want = {**base, **expected}
+    assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in want.values())
+
+
 # ---------------------------------------------------------------------------
 # input errors and environment
 # ---------------------------------------------------------------------------

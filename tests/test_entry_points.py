@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps the package's entry points by module and name;
 a rename or a call that bypasses the module-level name would silently drop
 a layer from the benchmark's traced runs.  Every other module-level name of
-the package is either exported or used inside it: no dead helpers.
+the package is either exported or used inside it: no dead helpers.  The
+brute-force oracles import none of the package's private names.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from hellymetric import king_grid, to_edge_list
 from hellymetric.cli import main
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 PACKAGE = Path(hellymetric.__file__).resolve().parent
 
 
@@ -130,3 +132,24 @@ def test_only_the_traced_pair_functions_run_a_witness_part() -> None:
         ("hyperbolicity.py", "hyperbolicity", "_witness_pass"),
         ("hyperbolicity.py", "interval_thinness", "_witness"),
     }, readers
+
+
+def test_oracles_import_no_private_package_name() -> None:
+    # the oracles check the package's results, so they import none of its
+    # private helpers: a shared helper would make an oracle agree with the
+    # code it checks
+    private = []
+    for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        private += [
+            name
+            for name in names
+            if name.split(".")[0] == "hellymetric"
+            and any(part.startswith("_") for part in name.split("."))
+        ]
+    assert not private, private

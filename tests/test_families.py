@@ -174,6 +174,46 @@ def test_corner_cells_property_matches_module_function() -> None:
         assert fg.corner_cells == family_corner_cells(family, k, l)
 
 
+RECTANGLES = {  # (s_lo, s_hi, t_lo, t_hi) of each shape in the families docstring
+    "H1": lambda k, l: (0, 2 * k, 0, 2 * l),
+    "H2": lambda k, l: (0, 2 * k + 1, -1, 2 * l),
+    "H3": lambda k, l: (0, 2 * k + 2, -1, 2 * l + 1),
+}
+
+
+@pytest.mark.parametrize("family", ["H1", "H2", "H3"])
+def test_the_tips_are_the_corners_outside_the_rectangle(family: str) -> None:
+    lo = 1 if family == "H1" else 0
+    for k in range(lo, 6):
+        for l in range(k, 6):
+            s_lo, s_hi, t_lo, t_hi = RECTANGLES[family](k, l)
+            cells = set(family_cells(family, k, l))
+            corners = set(family_corner_cells(family, k, l))
+
+            def inside(cell):
+                return s_lo <= cell[0] <= s_hi and t_lo <= cell[1] <= t_hi
+
+            assert corners <= cells
+            assert {c for c in cells if not inside(c)} == {
+                c for c in corners if not inside(c)
+            }
+            assert {c for c in cells if inside(c)} == {
+                (s, t)
+                for s in range(s_lo, s_hi + 1)
+                for t in range(t_lo, t_hi + 1)
+                if (s - t) % 2 == 0
+            }
+
+
+def test_cell_index_names_a_missing_cell() -> None:
+    fg = build_obstruction("H3", 0, 0)
+    # below the first cell, between two cells, above the last cell
+    for cell in ((-5, 0), (0, 1), (99, 99)):
+        with pytest.raises(KeyError) as info:
+            fg.cell_index(cell)
+        assert info.value.args == (f"cell {cell} not in H3(0,0)",)
+
+
 def test_cell_index_roundtrip_and_missing_cell() -> None:
     fg = build_obstruction("H2", 1, 1)
     for i, cell in enumerate(fg.cells):

@@ -106,6 +106,17 @@ def test_graph_checks_its_edges_before_its_labels() -> None:
     assert str(info.value) == "edge (0,4) out of range for n=3"
 
 
+def test_graph_checks_its_labels_before_building_the_adjacency(monkeypatch) -> None:
+    # a wrong-length label list is refused before any adjacency row is packed
+    def no_build(mask):
+        raise AssertionError("the adjacency was built")
+
+    monkeypatch.setattr(graphs, "bit_rows", no_build)
+    with pytest.raises(GraphError) as info:
+        Graph(3, [(0, 1), (1, 2)], vertex_labels=["a", "b"])
+    assert str(info.value) == "vertex_labels length must equal n"
+
+
 def adjacency(g: Graph) -> tuple:
     return g.m, g.neighbors, g.adj_bits
 
