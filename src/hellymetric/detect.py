@@ -19,14 +19,19 @@ classifiers (hb_by_obstructions, hb_by_thinness, half_hyperbolic_equivalents,
 power_characterization) read one ``Analysis`` context per graph, which
 computes each shared quantity once, and reject non-Helly input.
 
-Witness corners are the quadruple the scan fired on; the materialized copy
-(always computed) lives in the witness alongside its cell layout.  One
-certification step, ``_certify``, turns corners into a copy for the
-detectors and for ``materialize``; ``_h1_copy``, the exact H1(k+1, k+1)
-corner scan then ``_certify``, is ``detect_H1`` and phase 1 of
-``detect_H1_or_H3``.  Phase 2, whose family is known only after resolution,
-calls ``resolve_window_quadruple``.  Each case of either step places one
-frame copy on four anchors and cuts the witness from it (``_window_copy``).
+Each probe pattern has one scan, which returns its first quadruple or
+None: ``_h2_quadruple``, ``_h1_quadruple`` (the exact H1(k+1, k+1) corner
+pattern) and ``_window_quadruple``.  A detector certifies what its scan
+found; ``Analysis.fires`` runs the scans alone and certifies nothing, so a
+copy is built only where one is returned.  Witness corners are the
+quadruple the scan fired on; the materialized copy lives in the witness
+alongside its cell layout.  One certification step, ``_certify``, turns
+corners into a copy for the detectors and for ``materialize``;
+``_h1_copy``, the exact corner scan then ``_certify``, is ``detect_H1`` and
+phase 1 of ``detect_H1_or_H3``.  Phase 2, whose family is known only after
+resolution, calls ``resolve_window_quadruple``.  Each case of either step
+places one frame copy on four anchors and cuts the witness from it
+(``_window_copy``).
 
 Every probe, the sun-tip test, the power route and both 4-cycle tests are
 calls of the one quadruple-pattern scanner, ``DistanceMatrix.first_quadruple``,
@@ -286,6 +291,26 @@ def _fits_window(
 # Pattern scans
 # ---------------------------------------------------------------------------
 
+def _h2_quadruple(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
+    """First quadruple with sides k+1, one diagonal 2k+2, the other 2k+1 or 2k+2."""
+    diag = 2 * k + 2
+    return dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag - 1, diag))
+
+
+def _h1_quadruple(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
+    """First quadruple on the exact H1(k+1, k+1) corner pattern: sides k+1,
+    both diagonals 2k+2."""
+    diag = 2 * k + 2
+    return dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag, diag))
+
+
+def _window_quadruple(dm: DistanceMatrix, k: int) -> tuple[int, int, int, int] | None:
+    """First quadruple of the probe window: sides at most k+2, one diagonal
+    2k+3 or 2k+4, the other at least 2k+3."""
+    lo = 2 * k + 3
+    return dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
+
+
 def detect_H1(
     g: Graph, k: int, *, dm: DistanceMatrix | None = None
 ) -> ObstructionWitness | None:
@@ -296,9 +321,8 @@ def detect_H1(
 
 
 def _h1_copy(g: Graph, dm: DistanceMatrix, k: int) -> ObstructionWitness | None:
-    """Certify the first quadruple with sides k+1 and diagonals 2k+2, if any."""
-    diag = 2 * k + 2
-    quad = dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag, diag))
+    """Certify the first quadruple of the exact H1(k+1, k+1) pattern, if any."""
+    quad = _h1_quadruple(dm, k)
     if quad is None:
         return None
     return _certify(g, dm, "H1", k + 1, k + 1, quad)
@@ -317,8 +341,7 @@ def detect_H2(
     if k < 0:
         raise ValueError("probe parameter must be >= 0")
     dm = dm or apsp(g)
-    diag = 2 * k + 2
-    quad = dm.first_quadruple((diag, diag), (k + 1, k + 1), (diag - 1, diag))
+    quad = _h2_quadruple(dm, k)
     if quad is None:
         return None
     return _certify(g, dm, "H2", k, k, quad)
@@ -339,8 +362,7 @@ def detect_H1_or_H3(
     found = _h1_copy(g, dm, k)
     if found is not None:
         return found
-    lo = 2 * k + 3
-    quad = dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
+    quad = _window_quadruple(dm, k)
     if quad is None:
         return None
     return resolve_window_quadruple(g, k, quad, dm=dm)
@@ -455,12 +477,20 @@ class Analysis:
     thinness) are the values that the routes, ``verify`` and the hull check
     read: taken from the pair when it was computed first, and otherwise from
     the scan's value part, which runs no witness pass.
+
+    The probes come in two forms too.  ``fires(td)`` decides whether the
+    probe at td/2 fires from its distance patterns alone; the routes,
+    ``verify`` and the hull check read it.  ``probe(td)`` certifies the
+    isometric copy behind a firing pattern.  Only the sweep calls it, once,
+    at the threshold that fired, whose copy the probe log of ``analyze``
+    prints.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
         self.dm = apsp(g)
         self._probes: dict[int, ObstructionWitness | None] = {}
+        self._fires: dict[int, bool] = {}
 
     @cached_property
     def helly(self) -> HellyCheck:
@@ -491,21 +521,45 @@ class Analysis:
         """The descending probe sweep as (threshold, witness) pairs (Helly input).
 
         Thresholds run from the diameter bound ceil(diam/2) down in half
-        steps, through the first probe that fires or down to 0.
+        steps, through the first probe that fires or down to 0.  Each
+        threshold asks ``fires``; only the one that fired is certified by
+        ``probe``, so every other witness is None.
         """
         _require_helly(self)
         out = []
         for td in range(self.dm.diam + self.dm.diam % 2, -1, -1):
-            w = self.probe(td)
-            out.append((HalfInt(td), w))
-            if w is not None:
+            if self.fires(td):
+                out.append((HalfInt(td), self.probe(td)))
                 break
+            out.append((HalfInt(td), None))
         return tuple(out)
 
+    def fires(self, td: int) -> bool:
+        """Does the probe at threshold td/2 fire?  On Helly input: is h > td/2?
+
+        The pattern scans alone, with no copy certified: even td scans the
+        H2 pattern at td/2, odd td the exact H1 pattern, then the window
+        pattern, at (td-1)/2.  A probe that already ran answers for itself.
+        """
+        if td < 0:
+            raise ValueError("probe threshold must be >= 0")
+        if td in self._probes:
+            return self._probes[td] is not None
+        if td not in self._fires:
+            dm, k = self.dm, td // 2
+            if td % 2 == 0:
+                quad = _h2_quadruple(dm, k)
+            else:
+                quad = _h1_quadruple(dm, k) or _window_quadruple(dm, k)
+            self._fires[td] = quad is not None
+        return self._fires[td]
+
     def probe(self, td: int) -> ObstructionWitness | None:
-        """Obstruction probe at threshold td/2; on Helly input it fires iff h > td/2.
+        """The certified copy of the probe at threshold td/2, or None.
 
         Even td runs detect_H2(td/2), odd td runs detect_H1_or_H3((td-1)/2).
+        Only the sweep calls it, at the threshold that fired, since only the
+        report of ``analyze`` prints a copy; every other reader asks ``fires``.
         """
         if td not in self._probes:
             if td % 2 == 0:
@@ -518,11 +572,10 @@ class Analysis:
         """The doubled thresholds td whose probe disagrees with h > td/2.
 
         ``hb`` is the value the probes are held against; on Helly input the
-        list is empty.
+        list is empty.  It reads the decisions (``fires``) and certifies no
+        copy.
         """
-        return [
-            td for td in thresholds if (self.probe(td) is not None) != (hb.doubled > td)
-        ]
+        return [td for td in thresholds if self.fires(td) != (hb.doubled > td)]
 
 
 def _require_helly(a: Analysis) -> None:
@@ -539,9 +592,10 @@ def _require_helly(a: Analysis) -> None:
 def hb_by_obstructions(a: Analysis) -> HalfInt:
     """Hyperbolicity via descending obstruction probes (Helly input).
 
-    Reads ``Analysis.sweep``: an integer probe t = k runs detect_H2(k), a
-    half probe t = k + 1/2 runs detect_H1_or_H3(k).  The first firing probe
-    gives h = t + 1/2; if no probe fires the graph is 0-hyperbolic.
+    Reads ``Analysis.sweep``: an integer probe t = k scans the H2 pattern, a
+    half probe t = k + 1/2 the H1 and window patterns of detect_H1_or_H3(k).
+    The first firing probe gives h = t + 1/2; if no probe fires the graph is
+    0-hyperbolic.
     """
     thr, w = a.sweep[-1]
     if w is None:
@@ -564,7 +618,7 @@ def hb_by_thinness(a: Analysis) -> HalfInt:
     tau = a.tau
     if tau % 2 == 0:
         return HalfInt.from_int(tau // 2)
-    if a.probe(tau) is not None:
+    if a.fires(tau):
         return HalfInt(tau + 1)
     return HalfInt(tau)
 

@@ -324,9 +324,8 @@ def complete_graph(n: int) -> Graph:
     )
 
 
-def strong_product(g: Graph, h: Graph) -> Graph:
-    """Strong product: pairs adjacent iff each coordinate is equal or adjacent
-    (and the pairs differ).  Vertex (a,b) gets id a*h.n + b."""
+def _strong_product_edges(g: Graph, h: Graph) -> list[tuple[int, int]]:
+    """Edges of the strong product, vertex (a,b) as id a*h.n + b."""
     edges: list[tuple[int, int]] = []
     for a in range(g.n):
         for b in range(h.n):
@@ -338,10 +337,16 @@ def strong_product(g: Graph, h: Graph) -> Graph:
                     vid = a2 * h.n + b2
                     if vid > uid:
                         edges.append((uid, vid))
+    return edges
+
+
+def strong_product(g: Graph, h: Graph) -> Graph:
+    """Strong product: pairs adjacent iff each coordinate is equal or adjacent
+    (and the pairs differ).  Vertex (a,b) gets id a*h.n + b."""
     labels = [f"({a},{b})" for a in range(g.n) for b in range(h.n)]
     return Graph(
         g.n * h.n,
-        edges,
+        _strong_product_edges(g, h),
         name=f"({g.name or 'G'} x {h.name or 'H'})",
         vertex_labels=labels,
     )
@@ -352,10 +357,9 @@ def king_grid(p: int, q: int) -> Graph:
     cells (x,y) with 0 <= x < p, 0 <= y < q.  Vertex (x,y) has id x*q + y."""
     if p < 1 or q < 1:
         raise GraphError("king grid sides must be >= 1")
-    g = strong_product(path_graph(p), path_graph(q))
     return Graph(
-        g.n,
-        g.edges(),
+        p * q,
+        _strong_product_edges(path_graph(p), path_graph(q)),
         name=f"king_grid({p},{q})",
         vertex_labels=[f"{x},{y}" for x in range(p) for y in range(q)],
     )

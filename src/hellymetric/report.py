@@ -232,7 +232,7 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
 
     hb, tau = a.hb, a.tau
     window = tau <= hb.doubled <= tau + 1
-    fired_at_tau = tau % 2 == 1 and a.probe(tau) is not None
+    fired_at_tau = tau % 2 == 1 and a.fires(tau)
     tight = hb.doubled == tau + 1
     kmax = hb.floor() + 1
     bad = a.probe_mismatches(

@@ -460,15 +460,12 @@ VERIFY_KING_2X4 = {
 def _flip_probe(monkeypatch, flip_td: int) -> None:
     from hellymetric.detect import Analysis
 
-    probe = Analysis.probe
+    fires = Analysis.fires
 
     def flipped(self, td):
-        w = probe(self, td)
-        if td != flip_td:
-            return w
-        return None if w is not None else object()
+        return fires(self, td) != (td == flip_td)
 
-    monkeypatch.setattr(Analysis, "probe", flipped)
+    monkeypatch.setattr(Analysis, "fires", flipped)
 
 
 def _flip_power(monkeypatch, flip: HalfInt) -> None:

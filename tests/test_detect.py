@@ -27,6 +27,7 @@ from hellymetric import (
     hb_by_obstructions,
     hb_by_thinness,
     helly_routes,
+    hull,
     hyperbolicity,
     king_grid,
     materialize,
@@ -34,7 +35,8 @@ from hellymetric import (
     power_characterization,
     resolve_window_quadruple,
 )
-from hellymetric.detect import _realizes_corner_pattern
+from hellymetric.detect import _realizes_corner_pattern, _window_quadruple
+from hellymetric.graphs import random_connected_graph
 from hellymetric.report import build_analysis
 
 
@@ -145,6 +147,8 @@ def test_probe_parameter_validation() -> None:
     for det in (detect_H1, detect_H2, detect_H1_or_H3):
         with pytest.raises(ValueError, match="probe parameter"):
             det(g, -1)
+    with pytest.raises(ValueError, match="probe threshold"):
+        Analysis(g).fires(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +240,7 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
             w = detect_H1(g, k, dm=dm)
             if w is not None:
                 assert materialize(g, w, dm=dm) == w.materialized, (g.name, k)
-            lo = 2 * k + 3
-            quad = dm.first_quadruple((lo, lo + 1), (0, k + 2), (lo, dm.diam))
+            quad = _window_quadruple(dm, k)
             if quad is not None:
                 windows.append((g, dm, k, quad))
     for g, dm, k, quad in windows:
@@ -348,6 +351,33 @@ def test_hb_by_thinness_on_king_grids() -> None:
     assert hb_by_thinness(king) == HalfInt.from_int(1)
     assert hb_by_thinness(Analysis(diamond())) == HalfInt(1)
     assert hb_by_thinness(Analysis(path_graph(5))) == HalfInt(0)
+
+
+@pytest.mark.parametrize(
+    "source", ["ladder", "hulls"], ids=["ladder_with_relabellings", "gnp_hulls"]
+)
+def test_fires_decides_what_probe_certifies(source: str) -> None:
+    # the pattern scans alone against the certified copies, each from a
+    # fresh context: decisions first, then copies on top of them, and the
+    # other way round
+    if source == "ladder":
+        graphs = ladder_with_relabellings()
+    else:
+        graphs = [
+            hull(random_connected_graph(10, 0.3, seed)).graph
+            for seed in (0, 1, 3, 5, 7, 11, 16, 17, 18)
+        ]
+    fired = 0
+    for g in graphs:
+        a, b = Analysis(g), Analysis(g)
+        assert a.helly
+        tds = range(a.dm.diam + 2)
+        decisions = [a.fires(td) for td in tds]
+        assert decisions == [a.probe(td) is not None for td in tds], g.name
+        assert [b.probe(td) is not None for td in tds] == decisions, g.name
+        assert [b.fires(td) for td in tds] == decisions, g.name
+        fired += sum(decisions)
+    assert fired > len(graphs)
 
 
 def test_probe_mismatches_reports_disagreeing_thresholds() -> None:

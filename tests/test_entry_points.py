@@ -4,7 +4,8 @@
 a rename or a call that bypasses the module-level name would silently drop
 a layer from the benchmark's traced runs.  Every other module-level name of
 the package is either exported or used inside it: no dead helpers.  The
-brute-force oracles import none of the package's private names.
+brute-force oracles import none of the package's private names, and only
+the probe sweep and the detectors certify an obstruction copy.
 """
 from __future__ import annotations
 
@@ -153,3 +154,48 @@ def test_oracles_import_no_private_package_name() -> None:
             and any(part.startswith("_") for part in name.split("."))
         ]
     assert not private, private
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{top.name}.{node.name}", node
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield top.name, top
+
+
+def test_only_the_sweep_and_the_detectors_certify_a_copy() -> None:
+    # a certified copy is built only where a report prints one: the sweep
+    # alone asks Analysis.probe, every other reader asks Analysis.fires, and
+    # the two certification steps are named only by the detectors, by
+    # materialize and by _certify itself (the package re-exports one of them)
+    steps = {"_certify", "resolve_window_quadruple"}
+    probes: set[tuple[str, str]] = set()
+    certifiers: set[tuple[str, str]] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias) and node.name in steps:
+                certifiers.add((path.name, "<import>"))
+        for qualname, fn in _functions(tree):
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "probe"
+                ):
+                    probes.add((path.name, qualname))
+                if isinstance(node, ast.Name) and node.id in steps:
+                    certifiers.add((path.name, qualname))
+    assert probes == {("detect.py", "Analysis.sweep")}, probes
+    assert certifiers == {
+        ("__init__.py", "<import>"),
+        ("detect.py", "_certify"),
+        ("detect.py", "materialize"),
+        ("detect.py", "_h1_copy"),
+        ("detect.py", "detect_H2"),
+        ("detect.py", "detect_H1_or_H3"),
+    }, certifiers

@@ -84,9 +84,17 @@ def test_king_grid_size_and_degrees() -> None:
 
 
 def test_king_grid_matches_strong_product_of_paths() -> None:
-    direct = king_grid(4, 3)
-    prod = strong_product(path_graph(4), path_graph(3))
-    assert direct.edge_set() == prod.edge_set()
+    # one graph built from the product's edges, under the king grid's name
+    # and cell labels
+    for p in range(1, 7):
+        for q in range(1, 7):
+            direct = king_grid(p, q)
+            prod = strong_product(path_graph(p), path_graph(q))
+            assert direct.edges() == prod.edges(), (p, q)
+            assert direct.name == f"king_grid({p},{q})"
+            assert direct.vertex_labels == tuple(
+                f"{x},{y}" for x in range(p) for y in range(q)
+            )
 
 
 def test_cycle_path_complete_shapes() -> None:

@@ -4,9 +4,9 @@
 intersection of the corner disks of every cell, in the order of each cell's
 distance to its nearest corner.  ``oracles.bfs_pick_placement`` places it
 one cell at a time in a hand-written breadth-first order, intersecting ball
-masks per cell.  Every placement the probe sweeps and ``verify`` make must
-be the oracle's, and a failing placement must raise the oracle's
-MaterializeError, text and disks alike.
+masks per cell.  Every placement the probes and the sweeps make must be
+the oracle's, ``verify`` must make none, and a failing placement must raise
+the oracle's MaterializeError, text and disks alike.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import tracemalloc
 import pytest
 
 from oracles import bfs_cell_order, bfs_pick_placement, oracle_cell_dist
+from test_detect import ladder_with_relabellings
 
 from hellymetric import (
     Analysis,
@@ -80,13 +81,31 @@ def assert_oracle_agrees(calls: list[tuple[tuple, object]]) -> None:
             assert got == want, (family, k, l, anchors)
 
 
-def test_sweeps_and_verify_place_the_oracles_copies(placements) -> None:
-    for g in ladder_graphs():
-        hb_by_obstructions(Analysis(g))
-        verify_claims(g)
+def test_probes_place_the_oracles_copies(placements) -> None:
+    # every threshold the sweep could reach, so each firing probe certifies
+    # a copy, on the ladder and on each of its graphs under a relabelling
+    for g in ladder_with_relabellings() + ladder_graphs()[-2:]:
+        a = Analysis(g)
+        for td in range(a.dm.diam + a.dm.diam % 2, -1, -1):
+            a.probe(td)
     assert len(placements) > 200
     assert {args[2] for args, _ in placements} == {"H1", "H2", "H3"}
     assert not any(isinstance(out, MaterializeError) for _, out in placements)
+    assert_oracle_agrees(placements)
+
+
+def test_sweeps_place_the_oracles_copies_and_verify_places_none(placements) -> None:
+    # verify decides its probes by their patterns alone; a sweep certifies
+    # one copy, at the threshold that fired
+    graphs = ladder_graphs()
+    for g in graphs:
+        assert {r.status for r in verify_claims(g)} == {"PASS"}
+    assert not placements
+    analyses = [Analysis(g) for g in graphs]
+    for a in analyses:
+        hb_by_obstructions(a)
+    fired = [a for a in analyses if a.sweep[-1][1] is not None]
+    assert len(placements) == len(fired) == len(graphs) - 1  # all but K4
     assert_oracle_agrees(placements)
 
 
