@@ -17,16 +17,18 @@ a returned witness is always sound (its copy is re-verified isometric), but
 absence certifies anything only when the input is Helly.  The aggregate
 classifiers (hb_by_obstructions, hb_by_thinness, half_hyperbolic_equivalents,
 power_characterization) read one ``Analysis`` context per graph, which
-computes each shared quantity once, and reject non-Helly input.
+computes each shared quantity once, and reject non-Helly input.  They decide
+from patterns and scan values alone, into the one ``HellyRoutes`` record
+that ``analyze`` and ``verify`` read.
 
 Each probe pattern has one scan, which returns its first quadruple or
 None: ``_h2_quadruple``, ``_h1_quadruple`` (the exact H1(k+1, k+1) corner
 pattern) and ``_window_quadruple``.  A detector certifies what its scan
-found; ``Analysis.fires`` runs the scans alone and certifies nothing, so a
-copy is built only where one is returned.  Witness corners are the
-quadruple the scan fired on; the materialized copy lives in the witness
-alongside its cell layout.  One certification step, ``_certify``, turns
-corners into a copy for the detectors and for ``materialize``;
+found; ``Analysis.fires`` runs the scans alone and certifies nothing, and
+``HellyRoutes.probes`` certifies the one copy it logs.  Witness corners
+are the quadruple the scan fired on; the materialized copy lives in the
+witness alongside its cell layout.  One certification step, ``_certify``,
+turns corners into a copy for the detectors and for ``materialize``;
 ``_h1_copy``, the exact corner scan then ``_certify``, is ``detect_H1`` and
 phase 1 of ``detect_H1_or_H3``.  Phase 2, whose family is known only after
 resolution, calls ``resolve_window_quadruple``.  Each case of either step
@@ -40,7 +42,7 @@ which the Helly test's 4-cycle condition (d) shares.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -466,9 +468,9 @@ def _median(
 class Analysis:
     """One graph, its distance matrix, and the quantities the routes share.
 
-    Helly recognition, the hyperbolicity scan, interval thinness, each
-    obstruction probe and the probe sweep are computed on first use and
-    kept, so every route that reads one of them shares a single computation.
+    Helly recognition, the hyperbolicity scan, interval thinness and each
+    probe decision are computed on first use and kept, so every route that
+    reads one of them shares a single computation.
 
     The scans come in two forms.  ``hyperbolicity`` and ``thinness`` are the
     (value, witness) pairs of ``hyperbolicity()`` and ``interval_thinness()``;
@@ -481,15 +483,14 @@ class Analysis:
     The probes come in two forms too.  ``fires(td)`` decides whether the
     probe at td/2 fires from its distance patterns alone; the routes,
     ``verify`` and the hull check read it.  ``probe(td)`` certifies the
-    isometric copy behind a firing pattern.  Only the sweep calls it, once,
-    at the threshold that fired, whose copy the probe log of ``analyze``
-    prints.
+    isometric copy behind a firing pattern.  Only ``HellyRoutes.probes``
+    calls it, once, at the threshold that fired, whose copy the probe log
+    of ``analyze`` prints.
     """
 
     def __init__(self, g: Graph) -> None:
         self.g = g
         self.dm = apsp(g)
-        self._probes: dict[int, ObstructionWitness | None] = {}
         self._fires: dict[int, bool] = {}
 
     @cached_property
@@ -516,35 +517,15 @@ class Analysis:
             return self.thinness[0]
         return _thinness_value(self.g, dm=self.dm)[0]
 
-    @cached_property
-    def sweep(self) -> tuple[tuple[HalfInt, ObstructionWitness | None], ...]:
-        """The descending probe sweep as (threshold, witness) pairs (Helly input).
-
-        Thresholds run from the diameter bound ceil(diam/2) down in half
-        steps, through the first probe that fires or down to 0.  Each
-        threshold asks ``fires``; only the one that fired is certified by
-        ``probe``, so every other witness is None.
-        """
-        _require_helly(self)
-        out = []
-        for td in range(self.dm.diam + self.dm.diam % 2, -1, -1):
-            if self.fires(td):
-                out.append((HalfInt(td), self.probe(td)))
-                break
-            out.append((HalfInt(td), None))
-        return tuple(out)
-
     def fires(self, td: int) -> bool:
         """Does the probe at threshold td/2 fire?  On Helly input: is h > td/2?
 
         The pattern scans alone, with no copy certified: even td scans the
         H2 pattern at td/2, odd td the exact H1 pattern, then the window
-        pattern, at (td-1)/2.  A probe that already ran answers for itself.
+        pattern, at (td-1)/2.
         """
         if td < 0:
             raise ValueError("probe threshold must be >= 0")
-        if td in self._probes:
-            return self._probes[td] is not None
         if td not in self._fires:
             dm, k = self.dm, td // 2
             if td % 2 == 0:
@@ -558,15 +539,13 @@ class Analysis:
         """The certified copy of the probe at threshold td/2, or None.
 
         Even td runs detect_H2(td/2), odd td runs detect_H1_or_H3((td-1)/2).
-        Only the sweep calls it, at the threshold that fired, since only the
-        report of ``analyze`` prints a copy; every other reader asks ``fires``.
+        Only ``HellyRoutes.probes`` calls it, at the threshold that fired,
+        since only the report of ``analyze`` prints a copy; every other
+        reader asks ``fires``.
         """
-        if td not in self._probes:
-            if td % 2 == 0:
-                self._probes[td] = detect_H2(self.g, td // 2, dm=self.dm)
-            else:
-                self._probes[td] = detect_H1_or_H3(self.g, td // 2, dm=self.dm)
-        return self._probes[td]
+        if td % 2 == 0:
+            return detect_H2(self.g, td // 2, dm=self.dm)
+        return detect_H1_or_H3(self.g, td // 2, dm=self.dm)
 
     def probe_mismatches(self, hb: HalfInt, thresholds: Iterable[int]) -> list[int]:
         """The doubled thresholds td whose probe disagrees with h > td/2.
@@ -592,20 +571,22 @@ def _require_helly(a: Analysis) -> None:
 def hb_by_obstructions(a: Analysis) -> HalfInt:
     """Hyperbolicity via descending obstruction probes (Helly input).
 
-    Reads ``Analysis.sweep``: an integer probe t = k scans the H2 pattern, a
-    half probe t = k + 1/2 the H1 and window patterns of detect_H1_or_H3(k).
-    The first firing probe gives h = t + 1/2; if no probe fires the graph is
-    0-hyperbolic.
+    Walks t from the diameter bound ceil(diam/2) down in half steps, asking
+    ``Analysis.fires``, so it certifies no copy: an integer t = k scans the
+    H2 pattern, a half t = k + 1/2 those of detect_H1_or_H3(k).  The first
+    firing probe gives h = t + 1/2; if none fires, h = 0.
     """
-    thr, w = a.sweep[-1]
-    if w is None:
-        return HalfInt(0)
-    if len(a.sweep) == 1:
-        raise InternalInconsistencyError(
-            f"probe at threshold {thr} fired although the diameter "
-            f"bound caps hyperbolicity at {HalfInt(a.dm.diam)}"
-        )
-    return HalfInt(thr.doubled + 1)
+    _require_helly(a)
+    top = a.dm.diam + a.dm.diam % 2
+    for td in range(top, -1, -1):
+        if a.fires(td):
+            if td == top:
+                raise InternalInconsistencyError(
+                    f"probe at threshold {HalfInt(td)} fired although the "
+                    f"diameter bound caps hyperbolicity at {HalfInt(a.dm.diam)}"
+                )
+            return HalfInt(td + 1)
+    return HalfInt(0)
 
 
 def hb_by_thinness(a: Analysis) -> HalfInt:
@@ -625,48 +606,50 @@ def hb_by_thinness(a: Analysis) -> HalfInt:
 
 @dataclass(frozen=True)
 class HellyRoutes:
-    """Every derived route of one Helly analysis, with its probe sweep."""
+    """Every derived route of one Helly analysis, judged, and its probe log.
 
+    ``analyze`` and ``verify`` read the same record.  ``power`` holds the
+    power route's decision at thresholds 0, 1/2, ..., h + 1;
+    ``power_mismatches`` and ``equivalents_agree`` judge it and the
+    equivalents against the direct value, and ``agree`` every route.
+    """
+
+    analysis: Analysis = field(repr=False, compare=False)
     by_obstructions: HalfInt
     by_thinness: HalfInt
-    power: tuple[tuple[HalfInt, bool], ...]  # see _power_table
+    power: tuple[tuple[HalfInt, bool], ...]
+    power_mismatches: tuple[HalfInt, ...]
     equivalents: dict[str, bool]
-    probes: tuple[tuple[HalfInt, ObstructionWitness | None], ...]
-    agree: bool  # every route matches the direct hyperbolicity scan
+    equivalents_agree: bool
+    agree: bool
+
+    @cached_property
+    def probes(self) -> tuple[tuple[HalfInt, ObstructionWitness | None], ...]:
+        """The probe log of ``analyze``: (threshold, witness) pairs from
+        ceil(diam/2) down to the first firing probe, or to 0.  On first read
+        ``Analysis.probe`` certifies the fired one, the record's one copy."""
+        dm = self.analysis.dm
+        fired = self.by_obstructions.doubled - 1
+        return tuple(
+            (HalfInt(td), self.analysis.probe(td) if td == fired else None)
+            for td in range(dm.diam + dm.diam % 2, max(fired, 0) - 1, -1)
+        )
 
 
 def helly_routes(a: Analysis) -> HellyRoutes:
     """Run and judge every derived route; non-Helly input raises NotHellyError."""
     ob = hb_by_obstructions(a)
     th = hb_by_thinness(a)
-    power = _power_table(a)
-    eq = half_hyperbolic_equivalents(a)
     hb = a.hb
-    agree = (
-        ob == hb
-        and th == hb
-        and not _power_mismatches(power, hb)
-        and _equivalents_agree(eq, hb)
-    )
-    return HellyRoutes(ob, th, power, eq, a.sweep, agree)
-
-
-def _power_table(a: Analysis) -> tuple[tuple[HalfInt, bool], ...]:
-    """The power route's decision at every threshold 0, 1/2, ..., h + 1."""
-    return tuple(
+    power = tuple(
         (HalfInt(td), power_characterization(a, HalfInt(td)))
-        for td in range(0, a.hb.doubled + 3)
+        for td in range(0, hb.doubled + 3)
     )
-
-
-def _power_mismatches(
-    power: tuple[tuple[HalfInt, bool], ...], hb: HalfInt
-) -> list[HalfInt]:
-    return [t for t, within in power if within != (hb <= t)]
-
-
-def _equivalents_agree(eq: dict[str, bool], hb: HalfInt) -> bool:
-    return set(eq.values()) == {hb <= HalfInt(1)}
+    bad_power = tuple(t for t, within in power if within != (hb <= t))
+    eq = half_hyperbolic_equivalents(a)
+    eq_agree = set(eq.values()) == {hb <= HalfInt(1)}
+    agree = ob == hb and th == hb and not bad_power and eq_agree
+    return HellyRoutes(a, ob, th, power, bad_power, eq, eq_agree, agree)
 
 
 # ---------------------------------------------------------------------------

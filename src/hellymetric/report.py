@@ -13,11 +13,6 @@ from .detect import (
     Analysis,
     HellyRoutes,
     ObstructionWitness,
-    _equivalents_agree,
-    _power_mismatches,
-    _power_table,
-    half_hyperbolic_equivalents,
-    hb_by_thinness,
     helly_routes,
 )
 from .families import FamilyGraph, host_side
@@ -56,8 +51,10 @@ def _since(t0: float) -> int:
 def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     """Run every analysis phase on one connected graph.
 
-    On non-Helly input the derived classifiers, the probe sweep, and the
-    equivalence panel are skipped (``routes`` is None); the direct
+    On Helly input ``routes`` is the ``helly_routes`` record that ``verify``
+    reads too; its probe log, the one certified copy, is read inside the
+    classifiers timing.  On non-Helly input the routes, the equivalence
+    panel and the probe log are skipped (``routes`` is None); the direct
     hyperbolicity and thinness phases always run.  The hull phase is
     attempted unless disabled and degrades to a "skipped" note when the
     enumeration budget stops it.
@@ -80,7 +77,10 @@ def build_analysis(g: Graph, *, include_hull: bool = True) -> AnalysisReport:
     timings["thinness"] = _since(t0)
 
     t0 = time.perf_counter()
-    routes = helly_routes(a) if hc else None
+    routes = None
+    if hc:
+        routes = helly_routes(a)
+        routes.probes  # certify the probe log's one copy inside this timing
     timings["classifiers"] = _since(t0)
 
     hull_info: dict[str, object] | None = None
@@ -220,6 +220,8 @@ class ClaimResult:
 def verify_claims(g: Graph) -> list[ClaimResult]:
     """Check the six cross-route identities on one Helly graph.
 
+    The power, thinness and equivalents claims read the ``helly_routes``
+    record, whose probe log is never read here, so no copy is certified.
     Non-Helly input yields SKIP for every claim (the identities are only
     asserted for Helly graphs).
     """
@@ -231,6 +233,7 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
         ]
 
     hb, tau = a.hb, a.tau
+    routes = helly_routes(a)
     window = tau <= hb.doubled <= tau + 1
     fired_at_tau = tau % 2 == 1 and a.fires(tau)
     tight = hb.doubled == tau + 1
@@ -240,9 +243,7 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
     )
     # the mismatched k of the integer (even td) and the half (odd td) probes
     ks_int, ks_half = [[td // 2 for td in bad if td % 2 == p] for p in (0, 1)]
-    bad_pow = _power_mismatches(_power_table(a), hb)
-    th = hb_by_thinness(a)
-    eq = half_hyperbolic_equivalents(a)
+    bad_pow, th, eq = routes.power_mismatches, routes.by_thinness, routes.equivalents
     checks = [
         (
             window and tight == fired_at_tau,
@@ -261,7 +262,7 @@ def verify_claims(g: Graph) -> list[ClaimResult]:
             th == hb and (tau % 2 == 1 or hb.doubled == tau),
             f"thinness route gives {th}, direct {hb}, tau={tau}",
         ),
-        (_equivalents_agree(eq, hb), ", ".join(f"{k}={v}" for k, v in eq.items())),
+        (routes.equivalents_agree, ", ".join(f"{k}={v}" for k, v in eq.items())),
     ]
     return [
         ClaimResult(cid, "PASS" if holds else "FAIL", detail)

@@ -481,87 +481,117 @@ def _flip_power(monkeypatch, flip: HalfInt) -> None:
 
 
 def _thinness_off_by_half(monkeypatch) -> None:
-    import hellymetric.report as report
+    import hellymetric.detect as detect
 
-    by_thinness = report.hb_by_thinness
+    by_thinness = detect.hb_by_thinness
     monkeypatch.setattr(
-        report, "hb_by_thinness", lambda a: HalfInt(by_thinness(a).doubled + 1)
+        detect, "hb_by_thinness", lambda a: HalfInt(by_thinness(a).doubled + 1)
     )
 
 
 def _one_equivalent_false(monkeypatch) -> None:
-    import hellymetric.report as report
+    import hellymetric.detect as detect
 
-    equivalents = report.half_hyperbolic_equivalents
+    equivalents = detect.half_hyperbolic_equivalents
 
     def one_false(a):
         return {**equivalents(a), "g_and_square_c4_free": False}
 
-    monkeypatch.setattr(report, "half_hyperbolic_equivalents", one_false)
+    monkeypatch.setattr(detect, "half_hyperbolic_equivalents", one_false)
 
 
-@pytest.mark.parametrize(
-    "shape, patch, expected",
-    [
-        # the even probe at k=1 misses
-        (
-            (4, 5),
-            lambda mp: _flip_probe(mp, 2),
-            {"Thm4-int": "FAIL Thm4-int          k=0..2, mismatched at k=1"},
-        ),
-        # the odd probe at tau fires: three claims read it
-        (
-            (4, 5),
-            lambda mp: _flip_probe(mp, 3),
-            {
-                "Thm3-window": "FAIL Thm3-window       2h=3, tau=3, "
-                "odd-probe fired=True",
-                "Thm4-half": "FAIL Thm4-half         k=0..2, mismatched at k=1",
-                "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
-                "direct 3/2, tau=3",
-            },
-        ),
-        (
-            (4, 5),
-            lambda mp: _flip_power(mp, HalfInt(2)),
-            {
-                "Thm5-powers": "FAIL Thm5-powers       thresholds 0..5/2, "
-                "mismatched at 1"
-            },
-        ),
-        (
-            (4, 5),
-            _thinness_off_by_half,
-            {
-                "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
-                "direct 3/2, tau=3"
-            },
-        ),
-        (
-            (2, 4),
-            _one_equivalent_false,
-            {
-                "Cor3-equivalents": "FAIL Cor3-equivalents  "
-                "hyperbolicity_le_half=True, no_induced_c4_or_sun_tips=True, "
-                "g_and_square_c4_free=False, thinness_le_1_no_sun_tips=True"
-            },
-        ),
-    ],
-    ids=["probe-even", "probe-odd", "power", "thinness", "equivalents"],
-)
+# each patch breaks one route, on king 4x5 or 2x4, and the verify lines it
+# turns to FAIL
+WRONG_ROUTES = [
+    # the even probe at k=1 misses
+    pytest.param(
+        (4, 5),
+        lambda mp: _flip_probe(mp, 2),
+        {"Thm4-int": "FAIL Thm4-int          k=0..2, mismatched at k=1"},
+        id="probe-even",
+    ),
+    # the odd probe at tau fires: three claims read it
+    pytest.param(
+        (4, 5),
+        lambda mp: _flip_probe(mp, 3),
+        {
+            "Thm3-window": "FAIL Thm3-window       2h=3, tau=3, "
+            "odd-probe fired=True",
+            "Thm4-half": "FAIL Thm4-half         k=0..2, mismatched at k=1",
+            "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
+            "direct 3/2, tau=3",
+        },
+        id="probe-odd",
+    ),
+    pytest.param(
+        (4, 5),
+        lambda mp: _flip_power(mp, HalfInt(2)),
+        {
+            "Thm5-powers": "FAIL Thm5-powers       thresholds 0..5/2, "
+            "mismatched at 1"
+        },
+        id="power",
+    ),
+    pytest.param(
+        (4, 5),
+        _thinness_off_by_half,
+        {
+            "Cor2-parity": "FAIL Cor2-parity       thinness route gives 2, "
+            "direct 3/2, tau=3"
+        },
+        id="thinness",
+    ),
+    pytest.param(
+        (2, 4),
+        _one_equivalent_false,
+        {
+            "Cor3-equivalents": "FAIL Cor3-equivalents  "
+            "hyperbolicity_le_half=True, no_induced_c4_or_sun_tips=True, "
+            "g_and_square_c4_free=False, thinness_le_1_no_sun_tips=True"
+        },
+        id="equivalents",
+    ),
+]
+
+
+def _verify_lines(shape: tuple[int, int], expected: dict[str, str]) -> str:
+    base = VERIFY_KING_4X5 if shape == (4, 5) else VERIFY_KING_2X4
+    return "".join(f"{ln}\n" for ln in {**base, **expected}.values())
+
+
+@pytest.mark.parametrize("shape, patch, expected", WRONG_ROUTES)
 def test_verify_fails_each_claim_a_wrong_route_breaks(
     tmp_path, capsys, monkeypatch, shape, patch, expected
 ) -> None:
     # each patch breaks one route; exactly the claims that read it FAIL,
     # with the mismatch named, and verify exits 2
     path = write_graph(tmp_path, "king.edges", king_grid(*shape))
-    base = VERIFY_KING_4X5 if shape == (4, 5) else VERIFY_KING_2X4
     assert main(["verify", path]) == 0
-    assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in base.values())
+    assert capsys.readouterr().out == _verify_lines(shape, {})
     patch(monkeypatch)
     assert main(["verify", path]) == 2
-    want = {**base, **expected}
-    assert capsys.readouterr().out == "".join(f"{ln}\n" for ln in want.values())
+    assert capsys.readouterr().out == _verify_lines(shape, expected)
+
+
+@pytest.mark.parametrize(
+    "shape, patch, expected",
+    [p for p in WRONG_ROUTES if p.id in ("power", "thinness", "equivalents")],
+)
+def test_a_route_patched_in_detect_breaks_analyze_and_verify_alike(
+    tmp_path, capsys, monkeypatch, shape, patch, expected
+) -> None:
+    # analyze and verify read one route record: a route patched where the
+    # record is built turns analyze's agreement to NO, and fails exactly the
+    # verify claims that read that route
+    path = write_graph(tmp_path, "king.edges", king_grid(*shape))
+    patch(monkeypatch)
+    assert main(["analyze", path, "--no-hull"]) == 2
+    out = capsys.readouterr().out
+    assert [ln for ln in out.splitlines() if ln.startswith("routes:")][0].endswith(
+        " agree=NO"
+    )
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().out == _verify_lines(shape, expected)
 
 
 # ---------------------------------------------------------------------------

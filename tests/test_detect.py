@@ -179,22 +179,6 @@ def test_non_helly_scan_may_simply_not_fire() -> None:
 # materialize: dispatch, fixed point, and rejection
 # ---------------------------------------------------------------------------
 
-def test_materialize_is_a_fixed_point_of_detection() -> None:
-    cases = [
-        (diamond(), detect_H2, 0),
-        (sun(), detect_H1_or_H3, 0),
-        (king_grid(3, 3), detect_H1, 0),
-        (king_grid(4, 4), detect_H1_or_H3, 0),
-        (build_obstruction("H2", 1, 1).graph, detect_H2, 1),
-        (build_obstruction("H1", 3, 3).graph, detect_H1_or_H3, 2),
-        (build_obstruction("H3", 1, 1).graph, detect_H1_or_H3, 1),
-    ]
-    for g, det, k in cases:
-        w = det(g, k)
-        assert w is not None
-        assert materialize(g, w) == w.materialized
-
-
 def ladder_with_relabellings() -> list[Graph]:
     """King p x q (2 <= p <= q <= 8) and H1/H2/H3(k, l), k <= l <= 3, each
     also under one seeded relabelling, which changes the scans' first hits."""
@@ -227,6 +211,7 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
         fg = build_obstruction("H1", k + 2, k + 2)
         windows.append((fg.graph, apsp(fg.graph), k, fg.corners))
     seen: set[str] = set()
+    fired: set[tuple[str | None, int]] = set()
     for g in ladder_with_relabellings():
         a = Analysis(g)
         dm = a.dm
@@ -234,6 +219,7 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
             w = a.probe(td)
             if w is not None:
                 assert materialize(g, w, dm=dm) == w.materialized, (g.name, td)
+                fired.add((g.name, td))
                 exact = _realizes_corner_pattern(dm, w.family, w.k, w.l, w.corners)
                 seen.add("exact" if exact else f"wide {w.family}")
         for k in range(dm.diam // 2):
@@ -263,6 +249,17 @@ def test_materialize_is_a_fixed_point_on_the_ladder() -> None:
         "window H1, 1 short",
         "window H1, 0 short",
         "window H3, 0 short",
+    }
+    # the diamond H2(0,0) and the sun H3(0,0) among them; at td = 1 on
+    # king 3x3 the exact H1 corners of phase 1 fire
+    assert fired >= {
+        ("H2(0,0)", 0),
+        ("H3(0,0)", 1),
+        ("king_grid(3,3)", 1),
+        ("king_grid(4,4)", 1),
+        ("H2(1,1)", 2),
+        ("H1(3,3)", 5),
+        ("H3(1,1)", 3),
     }
 
 
@@ -339,7 +336,7 @@ def test_hb_routes_agree_on_families(family: str, k: int, l: int) -> None:
 def test_probe_log_records_descending_sweep() -> None:
     a = Analysis(diamond())
     assert hb_by_obstructions(a) == HalfInt(1)
-    probes = a.sweep
+    probes = helly_routes(a).probes
     thresholds = [thr for thr, _ in probes]
     assert thresholds == [HalfInt(2), HalfInt(1), HalfInt(0)]
     assert probes[0][1] is None and probes[1][1] is None
@@ -413,7 +410,7 @@ def test_sweep_rejects_non_helly_input(n: int) -> None:
     # on C8 the probes would raise MaterializeError; on C5 the sweep would
     # run and mean nothing
     with pytest.raises(NotHellyError):
-        Analysis(cycle_graph(n)).sweep
+        helly_routes(Analysis(cycle_graph(n))).probes
 
 
 def test_helly_routes_match_the_routes_they_collect() -> None:
@@ -423,12 +420,14 @@ def test_helly_routes_match_the_routes_they_collect() -> None:
     assert routes.agree
     assert routes.by_obstructions == hb_by_obstructions(a) == hb
     assert routes.by_thinness == hb_by_thinness(a) == hb
-    assert routes.probes is a.sweep
     assert routes.equivalents == half_hyperbolic_equivalents(a)
+    assert routes.equivalents_agree
     assert routes.power == tuple(
         (HalfInt(td), power_characterization(a, HalfInt(td)))
         for td in range(hb.doubled + 3)
     )
+    assert routes.power_mismatches == ()
+    assert routes.analysis is a
 
 
 # ---------------------------------------------------------------------------

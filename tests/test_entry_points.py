@@ -4,8 +4,9 @@
 a rename or a call that bypasses the module-level name would silently drop
 a layer from the benchmark's traced runs.  Every other module-level name of
 the package is either exported or used inside it: no dead helpers.  The
-brute-force oracles import none of the package's private names, and only
-the probe sweep and the detectors certify an obstruction copy.
+brute-force oracles, ``report.py`` and ``cli.py`` import none of the
+package's private names, and only the route record's probe log and the
+detectors certify an obstruction copy.
 """
 from __future__ import annotations
 
@@ -156,6 +157,27 @@ def test_oracles_import_no_private_package_name() -> None:
     assert not private, private
 
 
+def test_report_and_cli_import_no_private_package_name() -> None:
+    # the commands read the package through its public names: a private
+    # helper imported into a command is a second home for what it decides
+    private = []
+    for name in ("report.py", "cli.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            module = node.module or ""
+            if node.level == 0 and module.split(".")[0] != "hellymetric":
+                continue
+            private += [
+                f"{name}: {module}.{alias.name}"
+                for alias in node.names
+                for part in [*module.split("."), alias.name]
+                if part.startswith("_")
+            ]
+    assert not private, private
+
+
 def _functions(tree: ast.Module):
     """(qualified name, node) of each module-level function and method."""
     for top in tree.body:
@@ -168,10 +190,11 @@ def _functions(tree: ast.Module):
 
 
 def test_only_the_sweep_and_the_detectors_certify_a_copy() -> None:
-    # a certified copy is built only where a report prints one: the sweep
-    # alone asks Analysis.probe, every other reader asks Analysis.fires, and
-    # the two certification steps are named only by the detectors, by
-    # materialize and by _certify itself (the package re-exports one of them)
+    # a certified copy is built only where a report prints one: the route
+    # record's probe log alone asks Analysis.probe, every other reader asks
+    # Analysis.fires, and the two certification steps are named only by the
+    # detectors, by materialize and by _certify itself (the package
+    # re-exports one of them)
     steps = {"_certify", "resolve_window_quadruple"}
     probes: set[tuple[str, str]] = set()
     certifiers: set[tuple[str, str]] = set()
@@ -190,7 +213,7 @@ def test_only_the_sweep_and_the_detectors_certify_a_copy() -> None:
                     probes.add((path.name, qualname))
                 if isinstance(node, ast.Name) and node.id in steps:
                     certifiers.add((path.name, qualname))
-    assert probes == {("detect.py", "Analysis.sweep")}, probes
+    assert probes == {("detect.py", "HellyRoutes.probes")}, probes
     assert certifiers == {
         ("__init__.py", "<import>"),
         ("detect.py", "_certify"),

@@ -4,9 +4,9 @@
 intersection of the corner disks of every cell, in the order of each cell's
 distance to its nearest corner.  ``oracles.bfs_pick_placement`` places it
 one cell at a time in a hand-written breadth-first order, intersecting ball
-masks per cell.  Every placement the probes and the sweeps make must be
-the oracle's, ``verify`` must make none, and a failing placement must raise
-the oracle's MaterializeError, text and disks alike.
+masks per cell.  Every placement the probes and the probe logs make must
+be the oracle's, ``verify`` must make none, and a failing placement must
+raise the oracle's MaterializeError, text and disks alike.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from hellymetric import (
     build_obstruction,
     cycle_graph,
     family_cells,
-    hb_by_obstructions,
+    helly_routes,
     king_grid,
 )
 from hellymetric.detect import _certify
@@ -82,8 +82,8 @@ def assert_oracle_agrees(calls: list[tuple[tuple, object]]) -> None:
 
 
 def test_probes_place_the_oracles_copies(placements) -> None:
-    # every threshold the sweep could reach, so each firing probe certifies
-    # a copy, on the ladder and on each of its graphs under a relabelling
+    # every threshold the probe log could reach, so each firing probe
+    # certifies a copy, on the ladder and on each of its graphs under a relabelling
     for g in ladder_with_relabellings() + ladder_graphs()[-2:]:
         a = Analysis(g)
         for td in range(a.dm.diam + a.dm.diam % 2, -1, -1):
@@ -95,17 +95,21 @@ def test_probes_place_the_oracles_copies(placements) -> None:
 
 
 def test_sweeps_place_the_oracles_copies_and_verify_places_none(placements) -> None:
-    # verify decides its probes by their patterns alone; a sweep certifies
-    # one copy, at the threshold that fired
+    # verify and the route record decide their probes by their patterns
+    # alone; the record's probe log certifies one copy, at the threshold
+    # that fired, when it is first read
     graphs = ladder_graphs()
     for g in graphs:
         assert {r.status for r in verify_claims(g)} == {"PASS"}
     assert not placements
-    analyses = [Analysis(g) for g in graphs]
-    for a in analyses:
-        hb_by_obstructions(a)
-    fired = [a for a in analyses if a.sweep[-1][1] is not None]
+    records = [helly_routes(Analysis(g)) for g in graphs]
+    assert not placements
+    assert all(r.by_obstructions == r.analysis.hb for r in records)
+    fired = [r for r in records if r.probes[-1][1] is not None]
     assert len(placements) == len(fired) == len(graphs) - 1  # all but K4
+    for r in records:
+        r.probes  # a second read returns the kept log and places nothing
+    assert len(placements) == len(fired)
     assert_oracle_agrees(placements)
 
 
@@ -167,7 +171,7 @@ def test_nearest_corner_order_is_breadth_first(family: str, k: int, l: int) -> N
 def test_certifying_the_firing_copy_on_king_30_stays_small() -> None:
     g = king_grid(30, 30)
     a = Analysis(g)
-    _, w = a.sweep[-1]
+    _, w = helly_routes(a).probes[-1]
     assert w is not None and len(w.cells) > 400
     tracemalloc.start()
     try:
